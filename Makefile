@@ -36,16 +36,22 @@ lint:
 
 # Machine-check the fast paths.  The model checker enumerates every
 # reachable replacement-policy metadata state (assoc 2/4/8, all five
-# policies) against the executable spec and writes the certificate
-# CI uploads; the --mutate run seeds a known spec bug and succeeds
-# only if the checker catches it; the lint --self-test scans the
-# seeded-violation fixture so the interprocedural allocation pass is
-# proven alive, not just quiet.
+# policies) against the executable spec, drives a three-size
+# direct-mapped column through every short event sequence against the
+# per-config oracle, and writes the certificate CI uploads; the
+# --mutate runs seed a known spec bug and two known column-engine
+# bugs and succeed only if the checker catches them; the lint
+# --self-test scans the seeded-violation fixture so the
+# interprocedural allocation pass is proven alive, not just quiet.
 policy-check:
 	dune build @check
 	dune exec tools/policy_check/main.exe -- --json policy-certificate.json
 	dune exec tools/policy_check/main.exe -- -q --ways 4 \
 	  --mutate plru-flip --expect-findings
+	dune exec tools/policy_check/main.exe -- -q --column-depth 3 \
+	  --mutate cert-store-on-1 --expect-findings
+	dune exec tools/policy_check/main.exe -- -q --column-depth 3 \
+	  --mutate cert-keep-on-restore --expect-findings
 	dune exec tools/lint/lint.exe -- --self-test
 
 # Record every workload (all three on-disk formats, plus one run under

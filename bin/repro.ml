@@ -293,54 +293,96 @@ let simulate name hier cache_bytes block_bytes policy gc scale metrics
       trace_events
 
 (* [repro run] targets are experiment ids or workload names; workloads
-   go through the simulated cache with the telemetry flags. *)
+   go through the simulated cache with the telemetry flags.  An
+   experiment run exports the metrics registry its sweeps publish to
+   (each sweep's [*.wall_s] and [*.consumer_events_per_s] gauges);
+   experiments build no single event timeline, so [--trace-events] is
+   rejected for them rather than ignored. *)
 let run_targets targets hier cache_bytes block_bytes policy gc scale metrics
     trace_events jobs =
   Option.iter Core.Runner.set_jobs jobs;
-  match targets with
-  | [] ->
-    Core.Experiments.run_all ppf;
-    0
-  | targets ->
-    let classified =
-      List.map
-        (fun id ->
-          match Core.Experiments.find id with
-          | Some e -> `Experiment e
-          | None -> (
-            match Workloads.Workload.find id with
-            | Some w -> `Workload w
-            | None -> `Unknown id))
-        targets
+  let classified =
+    List.map
+      (fun id ->
+        match Core.Experiments.find id with
+        | Some e -> `Experiment e
+        | None -> (
+          match Workloads.Workload.find id with
+          | Some w -> `Workload w
+          | None -> `Unknown id))
+      targets
+  in
+  let unknown =
+    List.filter_map (function `Unknown id -> Some id | _ -> None) classified
+  in
+  let experiments =
+    targets = []
+    || List.exists (function `Experiment _ -> true | _ -> false) classified
+  in
+  let workloads =
+    List.exists (function `Workload _ -> true | _ -> false) classified
+  in
+  if unknown <> [] then begin
+    Format.eprintf
+      "unknown experiment or workload(s): %s (try `repro experiments' or \
+       `repro workloads')@."
+      (String.concat ", " unknown);
+    1
+  end
+  else if experiments && trace_events <> None then begin
+    Format.eprintf
+      "repro run: --trace-events applies to workload runs only; experiment \
+       runs export --metrics@.";
+    1
+  end
+  else if experiments && workloads && metrics <> None then begin
+    Format.eprintf
+      "repro run: --metrics takes experiment ids or workload names, not \
+       both in one run@.";
+    1
+  end
+  else begin
+    let tel =
+      if experiments && metrics <> None then Some (Core.Telemetry.create ())
+      else None
     in
-    let unknown =
-      List.filter_map
-        (function `Unknown id -> Some id | _ -> None)
-        classified
+    let rc =
+      match classified with
+      | [] ->
+        Core.Experiments.run_all ppf;
+        0
+      | classified ->
+        List.fold_left
+          (fun rc target ->
+            match target with
+            | `Experiment e ->
+              Format.fprintf ppf "@.==== E-%s: %s [%s] ====@."
+                e.Core.Experiments.id e.Core.Experiments.title
+                e.Core.Experiments.paper_artifact;
+              e.Core.Experiments.run ppf;
+              rc
+            | `Workload w ->
+              max rc
+                (run_workload w hier cache_bytes block_bytes policy gc scale
+                   metrics trace_events)
+            | `Unknown _ -> assert false)
+          0 classified
     in
-    if unknown <> [] then begin
-      Format.eprintf
-        "unknown experiment or workload(s): %s (try `repro experiments' or \
-         `repro workloads')@."
-        (String.concat ", " unknown);
-      1
-    end
-    else
-      List.fold_left
-        (fun rc target ->
-          match target with
-          | `Experiment e ->
-            Format.fprintf ppf "@.==== E-%s: %s [%s] ====@."
-              e.Core.Experiments.id e.Core.Experiments.title
-              e.Core.Experiments.paper_artifact;
-            e.Core.Experiments.run ppf;
-            rc
-          | `Workload w ->
-            max rc
-              (run_workload w hier cache_bytes block_bytes policy gc scale
-                 metrics trace_events)
-          | `Unknown _ -> assert false)
-        0 classified
+    Option.iter
+      (fun t ->
+        Core.Telemetry.set_meta t "experiments"
+          (match classified with
+           | [] -> Obs.Json.Str "all"
+           | classified ->
+             Obs.Json.List
+               (List.filter_map
+                  (function
+                    | `Experiment e -> Some (Obs.Json.Str e.Core.Experiments.id)
+                    | _ -> None)
+                  classified)))
+      tel;
+    max rc (write_telemetry tel ~metrics ~trace_events:None)
+  end
 
 (* --- record / replay ----------------------------------------------------- *)
 

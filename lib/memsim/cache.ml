@@ -20,6 +20,8 @@ let config ?(write_miss_policy = Write_validate)
     record_block_stats
   }
 
+let policy_code = function Write_validate -> 0 | Fetch_on_write -> 1
+
 type t = {
   cfg : config;
   nblocks : int;
@@ -236,142 +238,288 @@ let[@hot] access t addr kind phase =
      | Some hook -> hook ~cache_block:idx ~alloc)
   end
 
-(* Batched access: decode packed events (Chunk codec) in a tight loop.
-   When no hooks and no per-block stats are installed — every cache in
-   a sweep grid — a specialized loop keeps the geometry in locals,
-   accumulates counters in registers and commits them once, with no
-   per-event closure or hook checks.  Otherwise fall back to [access]
-   per event, which preserves hook ordering exactly. *)
+(* --- The hook-free engine: columns of direct-mapped caches -------------- *)
+
+(* A column is a set of caches that share block size, write-miss
+   policy and [collector_fetch_on_write], sorted by size.  Bit-selection
+   indexing makes each larger member's set for memory block [b] a
+   refinement of the smallest member's ([b land mask_0] is the low part
+   of [b land mask_j]), so an event can change a larger member's copy
+   of [b] only if it maps to [b]'s set in the smallest member.  That is
+   what makes a certificate kept per set of the smallest member
+   exact.
+
+   [cert.(s)] describes the block the smallest member holds in set [s]:
+     2  every larger member holds it, with a valid mask that is a
+        superset of the smallest member's, and marked dirty;
+     1  the mask condition holds, not the dirty one;
+     0  unknown.
+   A full hit in the smallest member whose certificate covers it (a
+   read needs 1, a store 2) is a full hit in every member and changes
+   no larger one: one lookup instead of one per size.  Every other
+   event runs the per-size transition on every member and recomputes
+   the certificate.  Tags nest across sizes but valid masks and dirty
+   bits do not (DESIGN §4d), so the certificate is computed, never
+   assumed.  It is derived state and 0 is always sound, so it is never
+   checkpointed: anything that changes a member behind the column's
+   back only has to make it forget. *)
+
+type column = {
+  smallest : t;
+  larger : t array;       (* ascending size; empty for a column of one *)
+  cert : Bytes.t;         (* per set of [smallest]; empty with [larger] *)
+  mutable seen : int;
+      (* refs + collector_refs every member had when the column last
+         ran (-1 before): a member fed through any other path no
+         longer matches, and the certificates are forgotten *)
+}
+
+let column members =
+  let by_size a b = Int.compare a.cfg.size_bytes b.cfg.size_bytes in
+  match List.stable_sort by_size members with
+  | [] -> invalid_arg "Cache.column: no caches"
+  | smallest :: rest ->
+    let s = smallest.cfg in
+    List.iter
+      (fun c ->
+        if
+          c.cfg.block_bytes <> s.block_bytes
+          || policy_code c.cfg.write_miss_policy
+             <> policy_code s.write_miss_policy
+          || c.cfg.collector_fetch_on_write <> s.collector_fetch_on_write
+        then
+          invalid_arg
+            "Cache.column: members must share block size, write-miss policy \
+             and collector_fetch_on_write")
+      rest;
+    let larger = Array.of_list rest in
+    let sets = if Array.length larger = 0 then 0 else smallest.nblocks in
+    { smallest; larger; cert = Bytes.make sets '\000'; seen = -1 }
+
+let column_members col = Array.append [| col.smallest |] col.larger
+let column_certificates col = col.cert
+let column_reset col = Bytes.fill col.cert 0 (Bytes.length col.cert) '\000'
+
+let check_set t set fname =
+  if set < 0 || set >= t.nblocks then invalid_arg (fname ^ ": set out of range")
+
+let line_tag t ~set =
+  check_set t set "Cache.line_tag";
+  t.tags.(set)
+
+let line_valid_words t ~set =
+  check_set t set "Cache.line_valid_words";
+  (t.valid_lo.(set), t.valid_hi.(set))
+
+let line_dirty t ~set =
+  check_set t set "Cache.line_dirty";
+  Bytes.get t.dirty set = '\001'
+
+let hook_free t =
+  not
+    (t.cfg.record_block_stats
+    || Option.is_some t.miss_hook
+    || Option.is_some t.fetch_hook
+    || Option.is_some t.writeback_hook)
+
+let seen_refs t = t.refs + t.collector_refs
+
+(* The per-size transition of the hook-free engine: one event against
+   one member.  [validate] is the write-validate store case (the
+   policy is shared by the column, so the caller decides it once);
+   refs and writes are the same for every member and are counted by
+   the caller. *)
+let step t mem_block high wbit is_store mutator alloc validate =
+  let idx = mem_block land t.index_mask in
+  let tags = t.tags and dirty = t.dirty in
+  if Array.unsafe_get tags idx = mem_block then begin
+    let valid = if high then t.valid_hi else t.valid_lo in
+    let v = Array.unsafe_get valid idx in
+    if v land wbit <> 0 then begin
+      if is_store then Bytes.unsafe_set dirty idx '\001'
+    end
+    else if is_store then begin
+      (* A write validates the word at no memory cost; the allocation
+         miss was charged when the tag was installed. *)
+      Array.unsafe_set valid idx (v lor wbit);
+      Bytes.unsafe_set dirty idx '\001'
+    end
+    else begin
+      (* Read of an invalid word in a resident block: fetch and merge. *)
+      if mutator then begin
+        t.misses <- t.misses + 1;
+        t.fetches <- t.fetches + 1
+      end
+      else begin
+        t.collector_misses <- t.collector_misses + 1;
+        t.collector_fetches <- t.collector_fetches + 1
+      end;
+      Array.unsafe_set t.valid_lo idx t.full_lo;
+      Array.unsafe_set t.valid_hi idx t.full_hi
+    end
+  end
+  else begin
+    if mutator then begin
+      t.misses <- t.misses + 1;
+      if alloc then t.alloc_misses <- t.alloc_misses + 1
+    end
+    else t.collector_misses <- t.collector_misses + 1;
+    if Bytes.unsafe_get dirty idx = '\001' then begin
+      t.writebacks <- t.writebacks + 1;
+      if not mutator then t.collector_writebacks <- t.collector_writebacks + 1;
+      Bytes.unsafe_set dirty idx '\000'
+    end;
+    Array.unsafe_set tags idx mem_block;
+    if validate then begin
+      if high then begin
+        Array.unsafe_set t.valid_lo idx 0;
+        Array.unsafe_set t.valid_hi idx wbit
+      end
+      else begin
+        Array.unsafe_set t.valid_lo idx wbit;
+        Array.unsafe_set t.valid_hi idx 0
+      end;
+      Bytes.unsafe_set dirty idx '\001'
+    end
+    else begin
+      if mutator then t.fetches <- t.fetches + 1
+      else t.collector_fetches <- t.collector_fetches + 1;
+      Array.unsafe_set t.valid_lo idx t.full_lo;
+      Array.unsafe_set t.valid_hi idx t.full_hi;
+      if is_store then Bytes.unsafe_set dirty idx '\001'
+    end
+  end
+
+(* How well a larger member, just stepped with [mem_block] (so its tag
+   matches), covers the smallest member's masks [lo0]/[hi0]. *)
+let cover t mem_block lo0 hi0 =
+  let idx = mem_block land t.index_mask in
+  if
+    Array.unsafe_get t.valid_lo idx land lo0 = lo0
+    && Array.unsafe_get t.valid_hi idx land hi0 = hi0
+  then if Bytes.unsafe_get t.dirty idx = '\001' then 2 else 1
+  else 0
+
+(* The one hook-free transition loop: decode packed events (Chunk
+   codec), look each up in the smallest member with its geometry in
+   locals, and leave the loop body only for events the certificate
+   does not cover.  A single cache is a column of one ([larger] empty),
+   where every full hit is covered. *)
 (* [buf]'s concrete Bigarray type must be visible here: an unannotated
    parameter stays polymorphic during inference, and the compiler then
    emits a generic caml_ba_get_1 C call per event instead of a direct
    load (a measured ~2.5x slowdown of this loop). *)
+let[@hot] run_column smallest larger cert (buf : Chunk.buf) off len =
+  let tags = smallest.tags
+  and valid_lo = smallest.valid_lo
+  and valid_hi = smallest.valid_hi
+  and dirty = smallest.dirty in
+  let block_shift = smallest.block_shift
+  and index_mask = smallest.index_mask
+  and word_mask = smallest.word_mask in
+  let nlarger = Array.length larger in
+  let write_validate =
+    match smallest.cfg.write_miss_policy with
+    | Write_validate -> true
+    | Fetch_on_write -> false
+  in
+  let collector_fow = smallest.cfg.collector_fetch_on_write in
+  let refs = ref 0
+  and collector_refs = ref 0
+  and writes = ref 0
+  and collector_writes = ref 0 in
+  for i = off to off + len - 1 do
+    let w = Bigarray.Array1.unsafe_get buf i in
+    let addr = w lsr 3 in
+    let kcode = (w lsr 1) land 3 in
+    let mutator = w land 1 = 0 in
+    let mem_block = addr lsr block_shift in
+    let idx = mem_block land index_mask in
+    let word = (addr lsr 2) land word_mask in
+    let high = word >= 32 in
+    let wbit = 1 lsl (word land 31) in
+    let is_store = kcode <> 0 in
+    if mutator then incr refs else incr collector_refs;
+    if is_store then begin
+      incr writes;
+      if not mutator then incr collector_writes
+    end;
+    if
+      Array.unsafe_get tags idx = mem_block
+      && Array.unsafe_get (if high then valid_hi else valid_lo) idx land wbit
+         <> 0
+      && (nlarger = 0
+         || Char.code (Bytes.unsafe_get cert idx) > if is_store then 1 else 0)
+    then begin
+      if is_store then Bytes.unsafe_set dirty idx '\001'
+    end
+    else begin
+      let validate =
+        is_store && write_validate && not ((not mutator) && collector_fow)
+      in
+      let alloc = kcode = 2 in
+      step smallest mem_block high wbit is_store mutator alloc validate;
+      if nlarger > 0 then begin
+        let lo0 = Array.unsafe_get valid_lo idx
+        and hi0 = Array.unsafe_get valid_hi idx in
+        let c = ref 2 in
+        for j = 0 to nlarger - 1 do
+          let m = Array.unsafe_get larger j in
+          step m mem_block high wbit is_store mutator alloc validate;
+          let cj = cover m mem_block lo0 hi0 in
+          if cj < !c then c := cj
+        done;
+        Bytes.unsafe_set cert idx (Char.unsafe_chr !c)
+      end
+    end
+  done;
+  let refs = !refs
+  and collector_refs = !collector_refs
+  and writes = !writes
+  and collector_writes = !collector_writes in
+  for j = -1 to nlarger - 1 do
+    let t = if j < 0 then smallest else Array.unsafe_get larger j in
+    t.refs <- t.refs + refs;
+    t.collector_refs <- t.collector_refs + collector_refs;
+    t.writes <- t.writes + writes;
+    t.collector_writes <- t.collector_writes + collector_writes
+  done
+
+(* Batched access to one cache.  Hook-free, it is a column of one;
+   with hooks or per-block stats, [access] per event, which preserves
+   hook ordering exactly. *)
 let[@hot] access_chunk t (buf : Chunk.buf) off len =
   if off < 0 || len < 0 || off + len > Bigarray.Array1.dim buf then
     invalid_arg "Cache.access_chunk";
-  let needs_slow_path =
-    t.cfg.record_block_stats
-    || Option.is_some t.miss_hook
-    || Option.is_some t.fetch_hook
-    || Option.is_some t.writeback_hook
-  in
-  if needs_slow_path then
+  if hook_free t then run_column t [||] Bytes.empty buf off len
+  else
     for i = off to off + len - 1 do
       let w = Bigarray.Array1.unsafe_get buf i in
       let addr, kind, phase = Chunk.unpack w in
       access t addr kind phase
     done
+
+let column_access_chunk col (buf : Chunk.buf) off len =
+  if off < 0 || len < 0 || off + len > Bigarray.Array1.dim buf then
+    invalid_arg "Cache.column_access_chunk";
+  let larger = col.larger in
+  let n0 = seen_refs col.smallest in
+  let in_step = ref (n0 = col.seen)
+  and hooks = ref (not (hook_free col.smallest)) in
+  for j = 0 to Array.length larger - 1 do
+    if seen_refs larger.(j) <> n0 then in_step := false;
+    if not (hook_free larger.(j)) then hooks := true
+  done;
+  if not !in_step then column_reset col;
+  if not !hooks then run_column col.smallest larger col.cert buf off len
   else begin
-    let tags = t.tags
-    and valid_lo = t.valid_lo
-    and valid_hi = t.valid_hi
-    and dirty = t.dirty in
-    let block_shift = t.block_shift
-    and index_mask = t.index_mask
-    and word_mask = t.word_mask
-    and full_lo = t.full_lo
-    and full_hi = t.full_hi in
-    let write_validate =
-      match t.cfg.write_miss_policy with
-      | Write_validate -> true
-      | Fetch_on_write -> false
-    in
-    let collector_fow = t.cfg.collector_fetch_on_write in
-    let refs = ref 0
-    and collector_refs = ref 0
-    and misses = ref 0
-    and collector_misses = ref 0
-    and alloc_misses = ref 0
-    and fetches = ref 0
-    and collector_fetches = ref 0
-    and writebacks = ref 0
-    and collector_writebacks = ref 0
-    and writes = ref 0
-    and collector_writes = ref 0 in
-    for i = off to off + len - 1 do
-      let w = Bigarray.Array1.unsafe_get buf i in
-      let addr = w lsr 3 in
-      let kcode = (w lsr 1) land 3 in
-      let mutator = w land 1 = 0 in
-      let mem_block = addr lsr block_shift in
-      let idx = mem_block land index_mask in
-      let word = (addr lsr 2) land word_mask in
-      let high = word >= 32 in
-      let wbit = 1 lsl (word land 31) in
-      let is_store = kcode <> 0 in
-      if mutator then incr refs else incr collector_refs;
-      if is_store then begin
-        incr writes;
-        if not mutator then incr collector_writes
-      end;
-      if Array.unsafe_get tags idx = mem_block then begin
-        let valid = if high then valid_hi else valid_lo in
-        if Array.unsafe_get valid idx land wbit <> 0 then begin
-          if is_store then Bytes.unsafe_set dirty idx '\001'
-        end
-        else if is_store then begin
-          Array.unsafe_set valid idx (Array.unsafe_get valid idx lor wbit);
-          Bytes.unsafe_set dirty idx '\001'
-        end
-        else begin
-          if mutator then begin
-            incr misses;
-            incr fetches
-          end
-          else begin
-            incr collector_misses;
-            incr collector_fetches
-          end;
-          Array.unsafe_set valid_lo idx full_lo;
-          Array.unsafe_set valid_hi idx full_hi
-        end
-      end
-      else begin
-        if mutator then begin
-          incr misses;
-          if kcode = 2 then incr alloc_misses
-        end
-        else incr collector_misses;
-        if Bytes.unsafe_get dirty idx = '\001' then begin
-          incr writebacks;
-          if not mutator then incr collector_writebacks;
-          Bytes.unsafe_set dirty idx '\000'
-        end;
-        Array.unsafe_set tags idx mem_block;
-        if
-          is_store && write_validate
-          && not ((not mutator) && collector_fow)
-        then begin
-          if high then begin
-            Array.unsafe_set valid_lo idx 0;
-            Array.unsafe_set valid_hi idx wbit
-          end
-          else begin
-            Array.unsafe_set valid_lo idx wbit;
-            Array.unsafe_set valid_hi idx 0
-          end;
-          Bytes.unsafe_set dirty idx '\001'
-        end
-        else begin
-          if mutator then incr fetches else incr collector_fetches;
-          Array.unsafe_set valid_lo idx full_lo;
-          Array.unsafe_set valid_hi idx full_hi;
-          if is_store then Bytes.unsafe_set dirty idx '\001'
-        end
-      end
-    done;
-    t.refs <- t.refs + !refs;
-    t.collector_refs <- t.collector_refs + !collector_refs;
-    t.misses <- t.misses + !misses;
-    t.collector_misses <- t.collector_misses + !collector_misses;
-    t.alloc_misses <- t.alloc_misses + !alloc_misses;
-    t.fetches <- t.fetches + !fetches;
-    t.collector_fetches <- t.collector_fetches + !collector_fetches;
-    t.writebacks <- t.writebacks + !writebacks;
-    t.collector_writebacks <- t.collector_writebacks + !collector_writebacks;
-    t.writes <- t.writes + !writes;
-    t.collector_writes <- t.collector_writes + !collector_writes
-  end
+    (* A member grew a hook since the column was built: feed every
+       member on its own, and forget what the certificates claimed. *)
+    access_chunk col.smallest buf off len;
+    Array.iter (fun m -> access_chunk m buf off len) col.larger;
+    column_reset col
+  end;
+  col.seen <- seen_refs col.smallest
 
 (* Attributed variant of the [access_chunk] fast loop: identical cache
    transitions and aggregate counter updates, plus per-(region, phase)
@@ -711,8 +859,6 @@ let block_alloc_misses t =
    each). *)
 
 let snapshot_magic = 0x504B435343414345L (* "CACHE…CKP" tag family *)
-
-let policy_code = function Write_validate -> 0 | Fetch_on_write -> 1
 
 let snapshot t buf =
   let add n = Buffer.add_int64_le buf (Int64.of_int n) in

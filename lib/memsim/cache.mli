@@ -70,10 +70,67 @@ val access_chunk : t -> Chunk.buf -> int -> int -> unit
 (** [access_chunk t buf off len] simulates the [len] packed events
     at [buf.(off..off+len-1)] (the {!Chunk} codec), equivalent to
     decoding each and calling {!access} in order.  When the cache has
-    no hooks and no per-block statistics the inner loop skips hook
-    checks and per-event closure dispatch entirely — the fast path of
-    the sweep engine.
+    no hooks and no per-block statistics it is a column of one (see
+    {!column}): the inner loop skips hook checks and per-event closure
+    dispatch entirely.
     @raise Invalid_argument when the range is out of bounds. *)
+
+(** {1 Columns}
+
+    A column is a set of caches that share block size, write-miss
+    policy and [collector_fetch_on_write], swept together in one pass:
+    with bit-selection indexing, a larger direct-mapped cache's set for
+    a block refines the smaller one's, so one lookup in the smallest
+    member settles an event for every size whenever a per-set
+    certificate vouches for the larger members (DESIGN §4d).  Each
+    member's state stays in its own {!t}; the column adds one derived
+    byte per set of its smallest member. *)
+
+type column
+
+val column : t list -> column
+(** Group caches into a column, sorted by size (stable).
+    @raise Invalid_argument when the list is empty or the members do
+    not share block size, write-miss policy and
+    [collector_fetch_on_write]. *)
+
+val column_members : column -> t array
+(** The members, smallest first. *)
+
+val column_access_chunk : column -> Chunk.buf -> int -> int -> unit
+(** [column_access_chunk col buf off len] is {!access_chunk} on every
+    member in one pass, with identical results.  A member fed outside
+    the column since its last call is detected by its reference count
+    and the certificates are forgotten; a member with hooks or
+    per-block statistics is fed on its own.  Reference counts do not
+    reliably reveal {!restore} or {!reset_stats}: call {!column_reset}
+    after either on a member.
+    @raise Invalid_argument when the range is out of bounds. *)
+
+val column_reset : column -> unit
+(** Forget every certificate (set it to 0, "unknown").  Call after
+    restoring members from a snapshot: certificates are not part of
+    any snapshot. *)
+
+val column_certificates : column -> Bytes.t
+(** The live certificate bytes, one per set of the smallest member
+    (empty for a column of one): 2 when every larger member holds the
+    smallest member's block in that set with a superset valid mask and
+    dirty, 1 without the dirty condition, 0 unknown.  Exposed for the
+    model checker, which checks them against this definition; writing
+    anything but 0 breaks exactness. *)
+
+val line_tag : t -> set:int -> int
+(** The memory-block number resident in [set], or [-1] when empty.
+    This and the two views below are read-only introspection for the
+    column model checker ([tools/policy_check]), not simulation paths.
+    @raise Invalid_argument on an out-of-range set. *)
+
+val line_valid_words : t -> set:int -> int * int
+(** The per-word valid masks [(lo, hi)] of [set]: bit [w] of [lo] is
+    word [w] for words 0–31, of [hi] for words 32–63. *)
+
+val line_dirty : t -> set:int -> bool
 
 val access_chunk_attr :
   t -> Attr.cursor -> Attr.profile -> base:int -> Chunk.buf -> int -> int -> unit

@@ -241,6 +241,10 @@ let load_v1 ic ~file_bytes =
 
 let io_buf_bytes = 1 lsl 16
 
+(* Longest encoding of one event: the tag byte plus nine LEB128 bytes
+   for the 59 zigzag bits it does not hold. *)
+let max_event_bytes = 10
+
 let save_v2 t oc =
   let hdr = Bytes.create 17 in
   Bytes.set_int64_le hdr 0 magic_v2;
@@ -249,15 +253,6 @@ let save_v2 t oc =
   output_bytes oc hdr;
   let buf = Bytes.create io_buf_bytes in
   let pos = ref 0 in
-  let flush () =
-    output oc buf 0 !pos;
-    pos := 0
-  in
-  let put b =
-    if !pos = io_buf_bytes then flush ();
-    Bytes.unsafe_set buf !pos (Char.unsafe_chr b);
-    incr pos
-  in
   let prev = ref 0 in
   iter_chunks t (fun slab len ->
       for i = 0 to len - 1 do
@@ -269,21 +264,37 @@ let save_v2 t oc =
         let zz = (delta lsl 1) lxor (delta asr 62) in
         let b0 = ((zz land 0xf) lsl 3) lor tag in
         let rest = zz lsr 4 in
-        if rest = 0 then put b0
+        (* One headroom check per event, then unchecked stores. *)
+        if !pos > io_buf_bytes - max_event_bytes then begin
+          output oc buf 0 !pos;
+          pos := 0
+        end;
+        if rest = 0 then begin
+          Bytes.unsafe_set buf !pos (Char.unsafe_chr b0);
+          incr pos
+        end
         else begin
-          put (b0 lor 0x80);
+          Bytes.unsafe_set buf !pos (Char.unsafe_chr (b0 lor 0x80));
+          incr pos;
           let r = ref rest in
           while !r >= 0x80 do
-            put ((!r land 0x7f) lor 0x80);
+            Bytes.unsafe_set buf !pos
+              (Char.unsafe_chr ((!r land 0x7f) lor 0x80));
+            incr pos;
             r := !r lsr 7
           done;
-          put !r
+          Bytes.unsafe_set buf !pos (Char.unsafe_chr !r);
+          incr pos
         end
       done);
-  flush ()
+  output oc buf 0 !pos
 
 let max_addr = max_int lsr 3
 
+(* The decoder reads through a refill buffer: [base] is the file
+   offset of [buf.[0]], so an event's offset is [base + pos] at its
+   first byte, with no channel query per event.  Events are written
+   straight into the slabs. *)
 let load_v2 ic ~file_bytes =
   if file_bytes < 17 then
     fail_at ~version:"v2" ~byte:file_bytes
@@ -297,42 +308,45 @@ let load_v2 ic ~file_bytes =
   let len = Int64.to_int (Bytes.get_int64_le hdr 1) in
   if len < 0 then fail_at ~version:"v2" ~byte:9 "corrupt event count";
   let t = create ~initial_capacity:Chunk.default_chunk_events () in
+  let chunk = t.chunk_events in
   let buf = Bytes.create io_buf_bytes in
+  let base = ref (pos_in ic) in
   let avail = ref 0 in
   let pos = ref 0 in
-  (* File offset of the next byte the decoder will consume: what the
-     channel has read, minus what is still buffered. *)
-  let consumed () = pos_in ic - !avail + !pos in
-  let byte () =
-    if !pos = !avail then begin
-      let n = input ic buf 0 io_buf_bytes in
-      if n = 0 then
-        fail_at ~version:"v2" ~byte:file_bytes
-          "truncated file (%d of %d events)" (length t) len;
-      avail := n;
-      pos := 0
-    end;
-    let b = Char.code (Bytes.unsafe_get buf !pos) in
-    incr pos;
-    b
+  (* Called when the buffer is drained; [decoded] names the event
+     that ran off the end of the file. *)
+  let refill decoded =
+    base := !base + !avail;
+    let got = input ic buf 0 io_buf_bytes in
+    if got = 0 then
+      fail_at ~version:"v2" ~byte:file_bytes "truncated file (%d of %d events)"
+        decoded len;
+    avail := got;
+    pos := 0
   in
+  let slab = ref t.cur in
+  let n = ref 0 in
   let prev = ref 0 in
   for _ = 1 to len do
-    let ev_off = consumed () in
-    let b0 = byte () in
+    if !pos = !avail then refill ((t.nslabs * chunk) + !n);
+    let ev_off = !base + !pos in
+    let b0 = Char.code (Bytes.unsafe_get buf !pos) in
+    incr pos;
     let tag = b0 land 7 in
     if tag land 6 = 6 then
       fail_at ~version:"v2" ~byte:ev_off "event %d has corrupt kind bits"
-        (length t);
+        ((t.nslabs * chunk) + !n);
     let zz = ref ((b0 lsr 3) land 0xf) in
     if b0 land 0x80 <> 0 then begin
       let shift = ref 4 in
       let continue = ref true in
       while !continue do
-        let b = byte () in
+        if !pos = !avail then refill ((t.nslabs * chunk) + !n);
+        let b = Char.code (Bytes.unsafe_get buf !pos) in
+        incr pos;
         if !shift > 62 then
           fail_at ~version:"v2" ~byte:ev_off "event %d varint overflows"
-            (length t);
+            ((t.nslabs * chunk) + !n);
         zz := !zz lor ((b land 0x7f) lsl !shift);
         shift := !shift + 7;
         continue := b land 0x80 <> 0
@@ -342,12 +356,20 @@ let load_v2 ic ~file_bytes =
     let addr = !prev + delta in
     if addr < 0 || addr > max_addr then
       fail_at ~version:"v2" ~byte:ev_off "event %d has corrupt address"
-        (length t);
+        ((t.nslabs * chunk) + !n);
     prev := addr;
-    append t ((addr lsl 3) lor tag)
+    BA1.unsafe_set !slab !n ((addr lsl 3) lor tag);
+    incr n;
+    if !n = chunk then begin
+      t.cur_len <- chunk;
+      seal_current t;
+      slab := t.cur;
+      n := 0
+    end
   done;
+  t.cur_len <- !n;
   if !avail - !pos > 0 || pos_in ic < file_bytes then
-    fail_at ~version:"v2" ~byte:(consumed ())
+    fail_at ~version:"v2" ~byte:(!base + !pos)
       "%d trailing bytes after the declared %d events"
       ((!avail - !pos) + (file_bytes - pos_in ic))
       len;

@@ -8,9 +8,42 @@ let paper_block_sizes = [ 16; 32; 64; 128; 256 ]
 
 let pp_size = Size.pp
 
-type t = { caches : Cache.t array }
+type t = {
+  caches : Cache.t array;        (* configuration order *)
+  columns : Cache.column array;  (* every cache in exactly one column *)
+}
 
-let create configs = { caches = Array.of_list (List.map Cache.create configs) }
+(* Caches that share block size, write-miss policy and
+   collector_fetch_on_write form one column (Cache.column sorts it by
+   size), so a grid costs one pass per column rather than one per
+   cache.  Caches recording per-block statistics run per event and
+   stay alone.  Columns keep the order of their first member. *)
+let create configs =
+  let caches = Array.of_list (List.map Cache.create configs) in
+  let key c =
+    let g = Cache.geometry c in
+    if g.Cache.record_block_stats then -1
+    else
+      (g.Cache.block_bytes lsl 2)
+      lor (match g.Cache.write_miss_policy with
+           | Cache.Write_validate -> 0
+           | Cache.Fetch_on_write -> 2)
+      lor if g.Cache.collector_fetch_on_write then 1 else 0
+  in
+  (* (key, members in reverse), newest column first *)
+  let groups = ref [] in
+  Array.iter
+    (fun c ->
+      let k = key c in
+      match List.assoc_opt k !groups with
+      | Some members when k >= 0 -> members := c :: !members
+      | _ -> groups := (k, ref [ c ]) :: !groups)
+    caches;
+  let columns =
+    List.rev_map (fun (_, members) -> Cache.column (List.rev !members)) !groups
+    |> Array.of_list
+  in
+  { caches; columns }
 
 let grid ?(write_miss_policy = Cache.Write_validate) ~cache_sizes ~block_sizes
     () =
@@ -82,9 +115,9 @@ let results t =
 (* --- Chunk-batched delivery ------------------------------------------- *)
 
 let access_chunk t buf off len =
-  let caches = t.caches in
-  for i = 0 to Array.length caches - 1 do
-    Cache.access_chunk (Array.unsafe_get caches i) buf off len
+  let columns = t.columns in
+  for i = 0 to Array.length columns - 1 do
+    Cache.column_access_chunk (Array.unsafe_get columns i) buf off len
   done
 
 let chunked_sink ?chunk_events t =
@@ -93,21 +126,21 @@ let chunked_sink ?chunk_events t =
 (* --- Replaying a recording, serially or across domains ----------------- *)
 
 (* Each domain replays the whole recording into a dynamically-claimed
-   subset of the caches: caches are independent simulators and the
+   subset of the columns: columns are independent simulators and the
    recording's slabs are read-only once complete, so there is no shared
    mutable state and the result is bit-identical to a serial run. *)
 let run_into ~jobs t recording =
-  let caches = t.caches in
-  let n = Array.length caches in
+  let columns = t.columns in
+  let n = Array.length columns in
   let jobs = max 1 (min jobs n) in
-  let replay_cache i =
-    let c = caches.(i) in
+  let replay_column i =
+    let col = columns.(i) in
     Recording.iter_chunks recording (fun buf len ->
-        Cache.access_chunk c buf 0 len)
+        Cache.column_access_chunk col buf 0 len)
   in
   if jobs = 1 then
     for i = 0 to n - 1 do
-      replay_cache i
+      replay_column i
     done
   else begin
     let next = Atomic.make 0 in
@@ -115,7 +148,7 @@ let run_into ~jobs t recording =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          replay_cache i;
+          replay_column i;
           loop ()
         end
       in
@@ -268,29 +301,32 @@ let load_checkpoint ?ctx t ~events path =
       (try
          Array.iter (fun c -> pos := Cache.restore c body !pos) t.caches
        with Invalid_argument msg -> fail "%s: %s" path msg);
+      (* Certificates are derived, not checkpointed: the restored
+         members start with none. *)
+      Array.iter Cache.column_reset t.columns;
       if !pos <> body_bytes then
         fail "%s has %d trailing bytes" path (body_bytes - !pos);
       cursor)
 
 (* Replay the event range [from_, until) of a recording into one
-   cache.  Slabs are fixed-size, so the range maps to per-chunk
-   offsets handled by [Cache.access_chunk]. *)
-let replay_range cache recording ~from_ ~until =
+   column.  Slabs are fixed-size, so the range maps to per-chunk
+   offsets handled by [Cache.column_access_chunk]. *)
+let replay_range col recording ~from_ ~until =
   let base = ref 0 in
   Recording.iter_chunks recording (fun buf len ->
       let b = !base in
       base := b + len;
       let lo = max from_ b in
       let hi = min until (b + len) in
-      if lo < hi then Cache.access_chunk cache buf (lo - b) (hi - lo))
+      if lo < hi then Cache.column_access_chunk col buf (lo - b) (hi - lo))
 
 let replay_range_all t recording ~jobs ~from_ ~until =
-  let caches = t.caches in
-  let n = Array.length caches in
+  let columns = t.columns in
+  let n = Array.length columns in
   let jobs = max 1 (min jobs n) in
   if jobs = 1 then
     for i = 0 to n - 1 do
-      replay_range caches.(i) recording ~from_ ~until
+      replay_range columns.(i) recording ~from_ ~until
     done
   else begin
     let next = Atomic.make 0 in
@@ -298,7 +334,7 @@ let replay_range_all t recording ~jobs ~from_ ~until =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          replay_range caches.(i) recording ~from_ ~until;
+          replay_range columns.(i) recording ~from_ ~until;
           loop ()
         end
       in
@@ -500,17 +536,17 @@ let hier_run_resumable ?ctx ?(jobs = 1)
 
 (* --- Live production with parallel consumption ------------------------- *)
 
-(* Worker [j] owns caches j, j+jobs, j+2*jobs, ...: a static strided
-   partition, so every cache sees the full stream in order. *)
-let strided_worker caches ~jobs fanout j () =
-  let n = Array.length caches in
+(* Worker [j] owns columns j, j+jobs, j+2*jobs, ...: a static strided
+   partition, so every column sees the full stream in order. *)
+let strided_worker columns ~jobs fanout j () =
+  let n = Array.length columns in
   let rec drain () =
     match Chunk.Fanout.pop fanout j with
     | None -> ()
     | Some (buf, len) ->
       let i = ref j in
       while !i < n do
-        Cache.access_chunk caches.(!i) buf 0 len;
+        Cache.column_access_chunk columns.(!i) buf 0 len;
         i := !i + jobs
       done;
       drain ()
@@ -518,14 +554,14 @@ let strided_worker caches ~jobs fanout j () =
   drain ()
 
 let live_parallel ~jobs ?chunk_events ?(capacity = 8) t =
-  let caches = t.caches in
-  let n = Array.length caches in
-  let jobs = max 1 (min jobs n) in
+  let columns = t.columns in
+  let jobs = max 1 (min jobs (Array.length columns)) in
   if jobs = 1 then chunked_sink ?chunk_events t
   else begin
     let fanout = Chunk.Fanout.create ~consumers:jobs ~capacity in
     let domains =
-      Array.init jobs (fun j -> Domain.spawn (strided_worker caches ~jobs fanout j))
+      Array.init jobs (fun j ->
+          Domain.spawn (strided_worker columns ~jobs fanout j))
     in
     let sink, flush =
       Chunk.producer ?chunk_events (fun buf len ->
@@ -544,15 +580,15 @@ let live_parallel ~jobs ?chunk_events ?(capacity = 8) t =
    mutator runs.  No per-event sink, no copy: each delivered chunk is
    broadcast by reference. *)
 let pipelined ~jobs ?(capacity = 8) t =
-  let caches = t.caches in
-  let n = Array.length caches in
-  let jobs = max 1 (min jobs n) in
+  let columns = t.columns in
+  let jobs = max 1 (min jobs (Array.length columns)) in
   if jobs = 1 then
     ((fun buf len -> access_chunk t buf 0 len), fun () -> ())
   else begin
     let fanout = Chunk.Fanout.create ~consumers:jobs ~capacity in
     let domains =
-      Array.init jobs (fun j -> Domain.spawn (strided_worker caches ~jobs fanout j))
+      Array.init jobs (fun j ->
+          Domain.spawn (strided_worker columns ~jobs fanout j))
     in
     let deliver buf len = Chunk.Fanout.push_shared fanout buf len in
     let finish () =

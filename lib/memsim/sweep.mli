@@ -7,12 +7,19 @@
     - {!sink}: per-event fan-out (one closure call per cache per
       event).  The oracle the others are tested against.
     - {!chunked_sink}: events are batched into {!Chunk} buffers and
-      each full chunk is delivered cache-major through
-      {!Cache.access_chunk}'s tight decode loop.
-    - {!run_parallel}: replay a completed {!Recording} with the cache
-      grid partitioned across [jobs] domains.  Caches are independent
-      and the recording is read-only, so the per-cache statistics are
-      bit-identical to {!run_serial}. *)
+      each full chunk is delivered column by column through
+      {!Cache.column_access_chunk}'s tight decode loop.
+    - {!run_parallel}: replay a completed {!Recording} with the
+      columns partitioned across [jobs] domains.  Columns are
+      independent and the recording is read-only, so the per-cache
+      statistics are bit-identical to {!run_serial}.
+
+    Every chunked path delivers to {e columns} ({!Cache.column}): the
+    caches that share block size, write-miss policy and
+    [collector_fetch_on_write] are swept together in one pass over the
+    trace, so a grid costs one pass per column, not one per cache
+    (DESIGN §4d).  Results are per cache and identical to sweeping
+    each cache on its own. *)
 
 val paper_cache_sizes : int list
 (** The §4 cache sizes: 32 KB to 4 MB in powers of two. *)
@@ -35,7 +42,10 @@ val pp_size : Format.formatter -> int -> unit
 type t
 
 val create : Cache.config list -> t
-(** One cache per configuration, in order. *)
+(** One cache per configuration, in order, grouped into columns:
+    caches without per-block statistics that share block size,
+    write-miss policy and [collector_fetch_on_write] form one column;
+    caches with per-block statistics stay alone. *)
 
 val grid :
   ?write_miss_policy:Cache.write_miss_policy ->
@@ -65,8 +75,8 @@ val results : t -> (Cache.config * Cache.stats) list
 (** {1 Chunk-batched delivery} *)
 
 val access_chunk : t -> Chunk.buf -> int -> int -> unit
-(** Deliver a chunk of packed events to every cache, cache-major:
-    each cache consumes the whole chunk before the next cache starts.
+(** Deliver a chunk of packed events to every cache, column-major:
+    each column consumes the whole chunk before the next starts.
     Equivalent to per-event delivery for every cache. *)
 
 val chunked_sink : ?chunk_events:int -> t -> Trace.sink * (unit -> unit)
@@ -81,12 +91,12 @@ val run_serial : t -> Recording.t -> unit
     domain).  The oracle for {!run_parallel}. *)
 
 val run_parallel : jobs:int -> t -> Recording.t -> unit
-(** Like {!run_serial} with the cache grid partitioned across [jobs]
-    domains ([jobs] is clamped to [1 .. Array.length (caches t)]).
-    Each domain replays the shared recording into the caches it claims,
-    so per-cache statistics are bit-identical to the serial run.  Do
-    not install hooks on swept caches when [jobs > 1]: they would fire
-    on worker domains. *)
+(** Like {!run_serial} with the columns partitioned across [jobs]
+    domains ([jobs] is clamped to one per column).  Each domain
+    replays the shared recording into the columns it claims, so
+    per-cache statistics are bit-identical to the serial run.  Do not
+    install hooks on swept caches when [jobs > 1]: they would fire on
+    worker domains. *)
 
 (** {1 Attributed replay} *)
 
@@ -131,6 +141,8 @@ val save_checkpoint : t -> events:int -> cursor:int -> string -> unit
 
 val load_checkpoint : ?ctx:string -> t -> events:int -> string -> int
 (** Restore every cache from a checkpoint and return its cursor.
+    Column certificates are derived state, not part of the file: they
+    restart at "unknown".
     @raise Failure when the file is not a checkpoint, was taken over a
     recording of a different length, or its caches do not match the
     sweep's configurations (count or geometry); [ctx] prefixes the
@@ -211,7 +223,7 @@ val live_parallel :
 (** Consume a {e live} trace on [jobs] worker domains: the returned
     sink chunks events and broadcasts each chunk through a bounded
     queue ({!Chunk.Fanout}, [capacity] chunks per worker) to workers
-    that own a static partition of the caches.  Call the returned
+    that own a static partition of the columns.  Call the returned
     [finish] after the last event: it flushes the partial chunk, closes
     the queue and joins the workers.  Statistics are bit-identical to
     serial delivery.  With [jobs = 1] this is {!chunked_sink}. *)
@@ -224,7 +236,7 @@ val pipelined :
     still runs (record-while-sweep).  [deliver buf len] broadcasts the
     chunk {e by reference} (no copy; the buffer must never be written
     again) to [jobs] worker domains owning a static partition of the
-    caches, blocking when [capacity] chunks are queued per worker; with
+    columns, blocking when [capacity] chunks are queued per worker; with
     [jobs = 1] it is a plain {!access_chunk} on the calling domain.
     Call [finish] after the last chunk to close the queue and join the
     workers.  Statistics are bit-identical to a trace-then-sweep

@@ -15,8 +15,13 @@ type instance = {
   mutable objects_copied : int;
 }
 
-(* One instance per heap; looked up by [stats]. *)
-let instances : (Heap.t * instance) list ref = ref []
+(* Kept with the heap, so it lives exactly as long as the machine. *)
+type Heap.collector_state += Cheney of instance
+
+let instance_of heap =
+  match Heap.collector_state heap with
+  | Cheney inst -> inst
+  | _ -> raise Not_found
 
 let space_base inst which = if which = 0 then inst.space0 else inst.space1
 
@@ -78,13 +83,13 @@ let install heap ~semispace_words =
       objects_copied = 0
     }
   in
-  instances := (heap, inst) :: !instances;
+  Heap.set_collector_state heap (Cheney inst);
   Heap.set_dynamic_window heap ~base ~limit:(base + semispace_words);
   Heap.set_collector heap ~name:"cheney" (fun ~requested_words ->
       collect inst ~requested_words)
 
 let stats heap =
-  let inst = List.assq heap !instances in
+  let inst = instance_of heap in
   { collections = inst.collections;
     words_copied = inst.words_copied;
     objects_copied = inst.objects_copied

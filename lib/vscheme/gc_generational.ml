@@ -36,7 +36,13 @@ type instance = {
   mutable ssb_overflows : int;
 }
 
-let instances : (Heap.t * instance) list ref = ref []
+(* Kept with the heap, so it lives exactly as long as the machine. *)
+type Heap.collector_state += Generational of instance
+
+let instance_of heap =
+  match Heap.collector_state heap with
+  | Generational inst -> inst
+  | _ -> raise Not_found
 
 let old_base inst = if inst.cur_old = 0 then inst.old0 else inst.old1
 let other_old inst = if inst.cur_old = 0 then inst.old1 else inst.old0
@@ -199,7 +205,7 @@ let install heap cfg =
       ssb_overflows = 0
     }
   in
-  instances := (heap, inst) :: !instances;
+  Heap.set_collector_state heap (Generational inst);
   Heap.set_dynamic_window heap ~base ~limit:inst.n_limit;
   Heap.set_write_barrier heap (fun ~field_addr ~value ->
       barrier inst ~field_addr ~value);
@@ -207,7 +213,7 @@ let install heap cfg =
       collect inst ~requested_words)
 
 let stats heap =
-  let inst = List.assq heap !instances in
+  let inst = instance_of heap in
   { minor_collections = inst.minor_collections;
     major_collections = inst.major_collections;
     words_promoted = inst.words_promoted;

@@ -54,7 +54,13 @@ type instance = {
   mutable barrier_hits : int;
 }
 
-let instances : (Heap.t * instance) list ref = ref []
+(* Kept with the heap, so it lives exactly as long as the machine. *)
+type Heap.collector_state += Marksweep of instance
+
+let instance_of heap =
+  match Heap.collector_state heap with
+  | Marksweep inst -> inst
+  | _ -> raise Not_found
 
 let in_nursery inst a = a >= inst.n_base && a < inst.n_limit
 let in_old inst a = a >= inst.old_base && a < inst.old_limit
@@ -445,7 +451,7 @@ let install heap cfg =
     }
   in
   push_free inst old_base cfg.old_words;
-  instances := (heap, inst) :: !instances;
+  Heap.set_collector_state heap (Marksweep inst);
   Heap.set_dynamic_window heap ~base ~limit:inst.n_limit;
   Heap.set_write_barrier heap (fun ~field_addr ~value ->
       barrier inst ~field_addr ~value);
@@ -453,11 +459,11 @@ let install heap cfg =
       collect inst ~requested_words)
 
 let free_words heap =
-  let inst = List.assq heap !instances in
+  let inst = instance_of heap in
   inst.free_total
 
 let stats heap =
-  let inst = List.assq heap !instances in
+  let inst = instance_of heap in
   { minor_collections = inst.minor_collections;
     major_collections = inst.major_collections;
     words_promoted = inst.words_promoted;

@@ -11,6 +11,9 @@ type roots =
   | Range of (unit -> int * int)
   | Registers of Value.t array * (unit -> int)
 
+type collector_state = ..
+type collector_state += No_collector_state
+
 type t = {
   mem : Mem.t;
   static_base : int;
@@ -29,6 +32,7 @@ type t = {
   mutable roots : roots list;
   mutable collect : t -> requested_words:int -> unit;
   mutable collector_name : string;
+  mutable collector_state : collector_state;
   mutable barrier : (field_addr:int -> value:Value.t -> unit) option;
   mutable telemetry : Obs.Events.timeline option;
   mutable attr : Memsim.Attr.table option;
@@ -66,6 +70,7 @@ let create ~mem ~static_words ~stack_words =
     roots = [];
     collect = no_collector;
     collector_name = "none";
+    collector_state = No_collector_state;
     barrier = None;
     telemetry = None;
     attr = None;
@@ -361,6 +366,8 @@ let set_collector t ~name fn =
   t.collect <- (fun _t ~requested_words -> fn ~requested_words)
 
 let collector_name t = t.collector_name
+let set_collector_state t s = t.collector_state <- s
+let collector_state t = t.collector_state
 let set_write_barrier t fn = t.barrier <- Some fn
 
 let set_dynamic_window t ~base ~limit =

@@ -250,6 +250,16 @@ val set_collector :
 
 val collector_name : t -> string
 
+type collector_state = ..
+(** A collector's own state (its statistics, semispace bookkeeping),
+    kept with the heap it manages so that it lives and dies with the
+    machine.  Each collector module extends this type. *)
+
+type collector_state += No_collector_state  (** before any collector *)
+
+val set_collector_state : t -> collector_state -> unit
+val collector_state : t -> collector_state
+
 val set_write_barrier : t -> (field_addr:int -> value:Value.t -> unit) -> unit
 (** Hook run by {!store_field} before the store, given the absolute
     word address being written and the new value. *)

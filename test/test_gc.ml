@@ -295,6 +295,31 @@ let gc_invariance_prop =
         (fun (_, gc) -> eval (machine gc) src = expected)
         (List.tl configs))
 
+(* Collector state lives with its heap: cells recorded on worker
+   domains must each find their own collector's statistics (a shared
+   registry appended to from several domains could lose entries). *)
+let test_record_grid_collector_stats () =
+  let gc = Vscheme.Machine.Cheney { semispace_bytes = 256 * 1024 } in
+  let cells =
+    List.map (fun w -> Core.Runner.cell ~gc ~scale:1 w) Workloads.Workload.all
+    @ List.map
+        (fun w -> Core.Runner.cell ~gc ~scale:2 w)
+        Workloads.Workload.[ nbody; mexpr ]
+  in
+  let recorded = Core.Runner.record_grid ~jobs:2 cells in
+  let total = ref 0 in
+  Array.iter
+    (fun ((r : Core.Runner.result), _) ->
+      let heap = Vscheme.Machine.heap r.Core.Runner.machine in
+      let st = Vscheme.Gc_cheney.stats heap in
+      total := !total + st.Vscheme.Gc_cheney.collections;
+      Alcotest.(check int)
+        (r.Core.Runner.workload.Workloads.Workload.name ^ ": collections")
+        r.Core.Runner.stats.Vscheme.Machine.collections
+        st.Vscheme.Gc_cheney.collections)
+    recorded;
+  Alcotest.(check bool) "some cell collected" true (!total > 0)
+
 let () =
   Alcotest.run "gc"
     [ ("differential", differential_cases);
@@ -314,7 +339,9 @@ let () =
             test_aggressive_collects_more;
           Alcotest.test_case "mark-sweep reuses storage" `Quick
             test_marksweep_reuses_storage;
-          Alcotest.test_case "mark-sweep barrier" `Quick test_marksweep_barrier
+          Alcotest.test_case "mark-sweep barrier" `Quick test_marksweep_barrier;
+          Alcotest.test_case "collector stats per record_grid cell" `Quick
+            test_record_grid_collector_stats
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest gc_invariance_prop ])
     ]

@@ -862,6 +862,51 @@ let test_recording_v3_read_only () =
         "mapped recording intact" true
         (Memsim.Recording.equal rec_ mapped))
 
+(* The v2 decoder reads through a 64 KB refill buffer whose first
+   fill starts after the 17-byte header, so file offset 17 + 65536 is
+   the first refill boundary.  A corrupt event that starts before it
+   and ends after it — and one that starts exactly on it — must be
+   reported at its own first byte, as anywhere else in the file. *)
+let test_recording_v2_refill_boundary () =
+  let boundary = 17 + 65536 in
+  let path = Filename.temp_file "repro" ".trace" in
+  let expect_message what data expected =
+    write_file path data;
+    match Memsim.Recording.load path with
+    | exception Failure msg -> Alcotest.(check string) what expected msg
+    | _ -> Alcotest.fail (what ^ " must be rejected")
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      (* [lead] one-byte reads of address 0, then the corrupt event *)
+      let file lead tail =
+        v2_file ~count:(lead + 1)
+          (Bytes.cat (Bytes.make lead '\000') (Bytes.of_string tail))
+      in
+      let lead = boundary - 17 - 6 in
+      expect_message "varint overflow across the boundary"
+        (file lead ("\x80" ^ String.make 11 '\xff'))
+        (Printf.sprintf
+           "Recording.load (v2, byte %d): event %d varint overflows"
+           (boundary - 6) lead);
+      expect_message "address overflow across the boundary"
+        (file lead ("\xf8" ^ String.make 8 '\xff' ^ "\x7f"))
+        (Printf.sprintf
+           "Recording.load (v2, byte %d): event %d has corrupt address"
+           (boundary - 6) lead);
+      let lead = boundary - 17 in
+      expect_message "kind bits on the boundary"
+        (file lead "\x06")
+        (Printf.sprintf
+           "Recording.load (v2, byte %d): event %d has corrupt kind bits"
+           boundary lead);
+      expect_message "truncated across the boundary"
+        (file (lead - 2) "\x80\xff\xff")
+        (Printf.sprintf
+           "Recording.load (v2, byte %d): truncated file (%d of %d events)"
+           (boundary + 1) (lead - 2) (lead - 1)))
+
 (* Error messages name the detected format and the failing byte, so a
    corrupt trace can be diagnosed with `dd'. *)
 let test_recording_error_messages () =
@@ -889,6 +934,176 @@ let test_recording_error_messages () =
       expect_prefix "bad stride" "Recording.load (v3, byte 9):";
       write_file path (v3_file ~count:2 payload);
       expect_prefix "truncated v3" "Recording.load (v3, byte 16):")
+
+(* --- Columns: one pass for every size -------------------------------- *)
+
+(* The paper grid of one policy through the column engine
+   ([Sweep.run_serial]: ten columns of eight sizes for both policies)
+   against the per-config oracle ([Cache.access] per event on
+   independent caches), on ground-truth working sets after CacheTrace's
+   sequential / strided / random validation traces. *)
+
+let paper_grid policy =
+  Memsim.Sweep.grid ~write_miss_policy:policy
+    ~cache_sizes:Memsim.Sweep.paper_cache_sizes
+    ~block_sizes:Memsim.Sweep.paper_block_sizes ()
+
+let both_policies = [ Memsim.Cache.Write_validate; Memsim.Cache.Fetch_on_write ]
+
+let recording_of events =
+  let r = Memsim.Recording.create () in
+  let sink = Memsim.Recording.sink r in
+  List.iter (fun (a, k, p) -> sink.Memsim.Trace.access a k p) events;
+  r
+
+(* Run [events] through the column engine and the oracle; check they
+   agree on every counter and return the column results. *)
+let column_vs_oracle policy events =
+  let recording = recording_of events in
+  let swept = Memsim.Sweep.create (paper_grid policy) in
+  Memsim.Sweep.run_serial swept recording;
+  let oracle = Memsim.Sweep.create (paper_grid policy) in
+  Memsim.Recording.replay recording (Memsim.Sweep.sink oracle);
+  List.iter2
+    (fun ((cfg : Memsim.Cache.config), a) (_, b) ->
+      Alcotest.(check bool)
+        (Format.asprintf "%a/%db column = oracle" Memsim.Sweep.pp_size
+           cfg.size_bytes cfg.block_bytes)
+        true (a = b))
+    (Memsim.Sweep.results swept) (Memsim.Sweep.results oracle);
+  Memsim.Sweep.results swept
+
+let loop ~passes ~first addrs =
+  List.concat
+    (List.init passes (fun p ->
+         List.map
+           (fun a ->
+             ((a : int), (if p = 0 then first else Memsim.Trace.Read), mutator))
+           addrs))
+
+(* An 8 KB sequential loop (initialized by allocation stores, then read
+   three times) fits every paper size: only cold misses, one per block. *)
+let test_column_sequential () =
+  let addrs = List.init (8192 / 4) (fun i -> i * 4) in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun ((cfg : Memsim.Cache.config), (s : Memsim.Cache.stats)) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%d/%d cold misses only" cfg.size_bytes
+               cfg.block_bytes)
+            (8192 / cfg.block_bytes) s.misses)
+        (column_vs_oracle policy
+           (loop ~passes:4 ~first:Memsim.Trace.Alloc_write addrs)))
+    both_policies
+
+(* One word every 256 bytes (a new block at every block size) over a
+   128 KB footprint, four passes: the 32 and 64 KB caches, smaller than
+   the footprint, miss on every access; from 128 KB up only the cold
+   misses remain. *)
+let test_column_strided () =
+  let footprint = 128 * 1024 in
+  let addrs = List.init (footprint / 256) (fun i -> i * 256) in
+  let n = List.length addrs in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun ((cfg : Memsim.Cache.config), (s : Memsim.Cache.stats)) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%d/%d strided misses" cfg.size_bytes
+               cfg.block_bytes)
+            (if cfg.size_bytes < footprint then 4 * n else n)
+            s.misses)
+        (column_vs_oracle policy
+           (loop ~passes:4 ~first:Memsim.Trace.Read addrs)))
+    both_policies
+
+(* A random working set of every event kind and both phases: no closed
+   form, so the oracle is the whole check. *)
+let test_column_random () =
+  let rng = Random.State.make [| 1994 |] in
+  let events =
+    List.init 60_000 (fun _ ->
+        let addr = Random.State.int rng (768 * 1024) land lnot 3 in
+        let kind =
+          match Random.State.int rng 3 with
+          | 0 -> Memsim.Trace.Read
+          | 1 -> Memsim.Trace.Write
+          | _ -> Memsim.Trace.Alloc_write
+        in
+        (addr, kind, if Random.State.int rng 5 = 0 then collector else mutator))
+  in
+  List.iter
+    (fun policy -> ignore (column_vs_oracle policy events))
+    both_policies
+
+(* Certificates are derived state: a sweep fed partly through the
+   per-event sink, restored from a checkpoint taken by another sweep,
+   or given a hook after it was built must still match the oracle. *)
+let test_column_outside_changes () =
+  let rng = Random.State.make [| 7 |] in
+  let events =
+    List.init 20_000 (fun _ ->
+        let addr = Random.State.int rng (96 * 1024) land lnot 3 in
+        let kind =
+          if Random.State.bool rng then Memsim.Trace.Read
+          else Memsim.Trace.Write
+        in
+        (addr, kind, mutator))
+  in
+  let configs =
+    Memsim.Sweep.grid
+      ~cache_sizes:Memsim.Sweep.[ kb 32; kb 64; kb 128 ]
+      ~block_sizes:[ 32 ] ()
+  in
+  let half l = List.filteri (fun i _ -> i < List.length l / 2) l in
+  let rest l = List.filteri (fun i _ -> i >= List.length l / 2) l in
+  let oracle = Memsim.Sweep.create configs in
+  List.iter
+    (fun (a, k, p) -> (Memsim.Sweep.sink oracle).Memsim.Trace.access a k p)
+    (events @ events);
+  let check name sw =
+    Alcotest.(check bool) name true
+      (Memsim.Sweep.results sw = Memsim.Sweep.results oracle)
+  in
+  let chunked sw evs =
+    let r = recording_of evs in
+    Memsim.Sweep.run_serial sw r
+  in
+  (* sink, then chunks, then sink, then chunks *)
+  let mixed = Memsim.Sweep.create configs in
+  let sink = Memsim.Sweep.sink mixed in
+  List.iter (fun (a, k, p) -> sink.Memsim.Trace.access a k p) (half events);
+  chunked mixed (rest events);
+  List.iter (fun (a, k, p) -> sink.Memsim.Trace.access a k p) (half events);
+  chunked mixed (rest events);
+  check "sink and chunks interleaved" mixed;
+  (* restore a checkpoint over a sweep that has consumed as many
+     events of a different trace *)
+  let path = Filename.temp_file "repro" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let full = recording_of (events @ events) in
+      let events_n = Memsim.Recording.length full in
+      let source = Memsim.Sweep.create configs in
+      chunked source events;
+      Memsim.Sweep.save_checkpoint source ~events:events_n
+        ~cursor:(List.length events) path;
+      let other = Memsim.Sweep.create configs in
+      chunked other (List.rev events);
+      ignore (Memsim.Sweep.load_checkpoint other ~events:events_n path);
+      chunked other events;
+      check "restored over a different same-length trace" other);
+  (* a miss hook installed on a member after the sweep was built *)
+  let hooked = Memsim.Sweep.create configs in
+  chunked hooked events;
+  let hook_misses = ref 0 in
+  Memsim.Cache.set_miss_hook (Memsim.Sweep.caches hooked).(1)
+    (fun ~cache_block:_ ~alloc:_ -> incr hook_misses);
+  chunked hooked events;
+  check "member hooked after create" hooked;
+  Alcotest.(check bool) "hook fired" true (!hook_misses > 0)
 
 (* --- Chunks ------------------------------------------------------------- *)
 
@@ -1287,6 +1502,16 @@ let () =
           Alcotest.test_case "chunked sink and flush" `Quick
             test_chunked_sink_flush
         ] );
+      ( "column",
+        [ Alcotest.test_case "8k sequential loop: cold misses only" `Quick
+            test_column_sequential;
+          Alcotest.test_case "strided loop: footprint threshold" `Quick
+            test_column_strided;
+          Alcotest.test_case "random working set = oracle" `Quick
+            test_column_random;
+          Alcotest.test_case "outside changes forget certificates" `Quick
+            test_column_outside_changes
+        ] );
       ( "chunks",
         [ Alcotest.test_case "codec roundtrip" `Quick test_chunk_codec;
           Alcotest.test_case "producer batching" `Quick test_chunk_producer;
@@ -1323,6 +1548,8 @@ let () =
             test_recording_v1_corrupt_word;
           Alcotest.test_case "v2 corrupt file rejected" `Quick
             test_recording_v2_corrupt;
+          Alcotest.test_case "v2 corrupt event at the refill boundary" `Quick
+            test_recording_v2_refill_boundary;
           Alcotest.test_case "v3 on-disk layout pinned" `Quick
             test_recording_v3_spec;
           Alcotest.test_case "v3 corrupt file rejected" `Quick

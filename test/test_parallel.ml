@@ -1,15 +1,22 @@
 (* Differential tests for the domain-parallel sweep engine: on a real
-   recorded trace of every workload, the parallel engines must produce
-   statistics bit-identical to the serial per-event oracle — every
+   recorded trace of every workload, the serial, parallel and pipelined
+   column engines must produce statistics bit-identical to the
+   per-event oracle — every
    counter, including the per-phase splits.  `make check` runs this
    binary under REPRO_JOBS=2 as well, which exercises the same
    assertions through Runner.sweep_recording's jobs selection. *)
 
+(* Four columns of three sizes: both write-miss policies, so the
+   column engine's certificate covers write-validate's partial masks
+   as well as fetch-on-write's full ones. *)
 let grid () =
+  let g write_miss_policy =
+    Memsim.Sweep.grid ~write_miss_policy
+      ~cache_sizes:Memsim.Sweep.[ kb 32; kb 64; kb 256 ]
+      ~block_sizes:[ 32; 128 ] ()
+  in
   Memsim.Sweep.create
-    (Memsim.Sweep.grid
-       ~cache_sizes:[ Memsim.Sweep.kb 32; Memsim.Sweep.kb 256 ]
-       ~block_sizes:[ 32; 128 ] ())
+    (g Memsim.Cache.Write_validate @ g Memsim.Cache.Fetch_on_write)
 
 let check_identical name reference candidate =
   List.iter2
@@ -47,7 +54,13 @@ let test_workload w () =
   in
   Memsim.Recording.replay recording sink;
   finish ();
-  check_identical "live_parallel jobs=3" oracle live
+  check_identical "live_parallel jobs=3" oracle live;
+  (* sealed slabs broadcast by reference, as record-while-sweep does *)
+  let piped = grid () in
+  let deliver, finish = Memsim.Sweep.pipelined ~jobs:2 piped in
+  Memsim.Recording.iter_chunks recording deliver;
+  finish ();
+  check_identical "pipelined jobs=2" oracle piped
 
 let test_runner_path () =
   (* Runner.sweep_recording must route through the same engines and

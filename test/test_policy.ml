@@ -137,6 +137,36 @@ let test_checker_catches_mutations () =
       (Spec.Victim_way0, L.Lru)
     ]
 
+(* The column-engine differential verifies clean at depth 3 for every
+   checked configuration, and each seeded misuse of the engine is
+   caught. *)
+let test_column_checker () =
+  List.iter
+    (fun (policy, collector_fow) ->
+      let r = Policy_check.Column.check ~depth:3 policy ~collector_fow in
+      Alcotest.(check (list string))
+        (r.Policy_check.Column.label ^ " clean")
+        []
+        (List.map
+           (fun f -> f.Check.Finding.message)
+           r.Policy_check.Column.findings);
+      Alcotest.(check bool)
+        (r.Policy_check.Column.label ^ " exercised the one-lookup path")
+        true
+        (r.Policy_check.Column.fast > 0))
+    Policy_check.Column.configs;
+  List.iter
+    (fun mutate ->
+      let r =
+        Policy_check.Column.check ~mutate ~depth:3 Memsim.Cache.Write_validate
+          ~collector_fow:true
+      in
+      Alcotest.(check bool)
+        (Policy_check.Column.mutation_label mutate ^ " caught")
+        true
+        (Check.Finding.has_errors r.Policy_check.Column.findings))
+    Policy_check.Column.all_mutations
+
 (* --- checkpoint scanner over real writer output ------------------------- *)
 
 let temp_ckpt body =
@@ -259,7 +289,9 @@ let () =
         [ Alcotest.test_case "small configs verify clean" `Quick
             test_checker_positive;
           Alcotest.test_case "seeded mutations caught" `Quick
-            test_checker_catches_mutations
+            test_checker_catches_mutations;
+          Alcotest.test_case "column engine differential" `Quick
+            test_column_checker
         ] );
       ( "checkpoints",
         [ Alcotest.test_case "grid scan" `Quick test_ckpt_scan_grid;

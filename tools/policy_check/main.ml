@@ -1,13 +1,18 @@
 (* policy_check — exhaustive small-scope model checker for the
-   Memsim.Level replacement policies.  Verifies, for every policy at
-   associativity 2, 4 and 8, the properties the fused fast path
-   exploits, and writes a machine-readable certificate for CI.
+   Memsim.Level replacement policies and the direct-mapped column
+   engine.  Verifies, for every policy at associativity 2, 4 and 8,
+   the properties the fused fast path exploits, then drives a
+   three-size cache column through every short event sequence against
+   the per-config oracle, and writes a machine-readable certificate
+   for CI.
 
-     main.exe [--json FILE] [--ways LIST] [--budget N]
+     main.exe [--json FILE] [--ways LIST] [--budget N] [--column-depth N]
               [--mutate ID [--expect-findings]] [-q]
 
-   --mutate seeds a known bug into the reference spec; with
-   --expect-findings the run succeeds iff the checker catches it
+   --mutate seeds a known bug — into the reference spec for a policy
+   mutation (only the policy checks run), or into the use of the
+   column engine for a column mutation (only the column checks run);
+   with --expect-findings the run succeeds iff the checker catches it
    (negative self-test of the checker). *)
 
 let default_ways = [ 2; 4; 8 ]
@@ -17,6 +22,8 @@ let () =
   let ways = ref default_ways in
   let budget = ref 4000 in
   let mutate = ref None in
+  let column_mutate = ref None in
+  let column_depth = ref 4 in
   let expect_findings = ref false in
   let quiet = ref false in
   let set_ways s =
@@ -28,15 +35,21 @@ let () =
              | _ -> raise (Arg.Bad ("bad associativity " ^ w)))
   in
   let set_mutate s =
-    match Policy_check.Spec.mutation_of_label s with
-    | Some m -> mutate := Some m
-    | None ->
+    match
+      ( Policy_check.Spec.mutation_of_label s,
+        Policy_check.Column.mutation_of_label s )
+    with
+    | Some m, _ -> mutate := Some m
+    | None, Some m -> column_mutate := Some m
+    | None, None ->
       raise
         (Arg.Bad
            (Printf.sprintf "unknown mutation %s (one of: %s)" s
               (String.concat ", "
                  (List.map Policy_check.Spec.mutation_label
-                    Policy_check.Spec.all_mutations))))
+                    Policy_check.Spec.all_mutations
+                 @ List.map Policy_check.Column.mutation_label
+                     Policy_check.Column.all_mutations))))
   in
   Arg.parse
     [
@@ -47,6 +60,9 @@ let () =
       ( "--budget",
         Arg.Set_int budget,
         "N sequence-differential node budget per configuration (4000)" );
+      ( "--column-depth",
+        Arg.Set_int column_depth,
+        "N longest event sequence the column check explores (4)" );
       ( "--mutate",
         Arg.String set_mutate,
         "ID seed a known spec bug (negative self-test)" );
@@ -57,7 +73,11 @@ let () =
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "policy_check [options]";
+  let run_policies = !column_mutate = None in
+  let run_columns = !mutate = None in
   let reports =
+    if not run_policies then []
+    else
     List.concat_map
       (fun policy ->
         List.map
@@ -78,8 +98,29 @@ let () =
           !ways)
       Memsim.Level.all_policies
   in
+  let columns =
+    if not run_columns then []
+    else
+      List.map
+        (fun (policy, collector_fow) ->
+          let r =
+            Policy_check.Column.check ?mutate:!column_mutate
+              ~depth:!column_depth policy ~collector_fow
+          in
+          if not !quiet then
+            Printf.printf
+              "%-38s nodes=%-7d one-lookup=%-7d restores=%-6d events=%-8d \
+               findings=%d\n%!"
+              r.Policy_check.Column.label r.Policy_check.Column.nodes
+              r.Policy_check.Column.fast
+              r.Policy_check.Column.restores r.Policy_check.Column.events
+              (List.length r.Policy_check.Column.findings);
+          r)
+        Policy_check.Column.configs
+  in
   let findings =
     List.concat_map (fun r -> r.Policy_check.Model.findings) reports
+    @ List.concat_map (fun r -> r.Policy_check.Column.findings) columns
   in
   List.iter
     (fun f -> Format.printf "%a@." Check.Finding.pp f)
@@ -89,7 +130,14 @@ let () =
   | Some path ->
     let oc = open_out path in
     output_string oc
-      (Obs.Json.to_pretty_string (Policy_check.Model.certificate reports));
+      (Obs.Json.to_pretty_string
+         (Policy_check.Model.certificate
+            ~columns:(List.map Policy_check.Column.certificate_entry columns)
+            ~column_findings:
+              (List.concat_map
+                 (fun r -> r.Policy_check.Column.findings)
+                 columns)
+            reports));
     output_char oc '\n';
     close_out oc);
   let errors = Check.Finding.has_errors findings in
@@ -109,6 +157,7 @@ let () =
     end
   else begin
     Printf.printf "policy_check: %d configuration(s), %d finding(s)\n"
-      (List.length reports) (List.length findings);
+      (List.length reports + List.length columns)
+      (List.length findings);
     exit (if errors then 1 else 0)
   end

@@ -587,7 +587,7 @@ let properties =
     "wb-conserve";
   ]
 
-let certificate reports =
+let certificate ?(columns = []) ?(column_findings = []) reports =
   let open Obs.Json in
   let config_json r =
     let failed rule =
@@ -616,7 +616,9 @@ let certificate reports =
         ("properties", Obj (List.map (fun p -> (p, prop_status p)) properties));
       ]
   in
-  let all_findings = List.concat_map (fun r -> r.findings) reports in
+  let all_findings =
+    List.concat_map (fun r -> r.findings) reports @ column_findings
+  in
   Obj
     [
       ("tool", Str "policy_check");
@@ -625,5 +627,6 @@ let certificate reports =
         Str (if F.has_errors all_findings then "failed" else "verified") );
       ("properties", List (List.map (fun p -> Str p) properties));
       ("configs", List (List.map config_json reports));
+      ("columns", List columns);
       ("findings", F.list_to_json all_findings);
     ]

@@ -49,7 +49,12 @@ val check :
     [mutate] seeds a bug into the {!Spec} side — a correct checker
     must then report findings (negative testing). *)
 
-val certificate : report list -> Obs.Json.t
+val certificate :
+  ?columns:Obs.Json.t list ->
+  ?column_findings:Check.Finding.t list ->
+  report list ->
+  Obs.Json.t
 (** Machine-readable certificate consumed by CI: per-configuration
-    state/transition counts and the status of each verified
-    property. *)
+    state/transition counts and the status of each verified property,
+    plus the column-engine entries ({!Column.certificate_entry}) whose
+    [column_findings] also decide the overall status. *)
