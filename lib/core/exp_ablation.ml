@@ -143,14 +143,16 @@ let table_associativity ppf =
               List.map
                 (fun ways ->
                   ( size,
-                    Memsim.Assoc.create
-                      (Memsim.Assoc.config ~size_bytes:size ~block_bytes:block
-                         ~ways ()) ))
+                    Memsim.Level.create
+                      (Memsim.Level.config ~policy:Memsim.Level.Lru
+                         ~size_bytes:size ~block_bytes:block ~ways ()) ))
                 ways_list)
             sizes
         in
         let r =
-          Runner.run ~sinks:(List.map (fun (_, c) -> Memsim.Assoc.sink c) caches) w
+          Runner.run
+            ~sinks:(List.map (fun (_, c) -> Memsim.Level.sink c) caches)
+            w
         in
         let insns = r.Runner.stats.Vscheme.Machine.mutator_insns in
         List.map
@@ -161,7 +163,7 @@ let table_associativity ppf =
                  (fun (csize, cache) ->
                    if csize <> size then []
                    else begin
-                     let s = Memsim.Assoc.stats cache in
+                     let s = Memsim.Level.stats cache in
                      [ Format.sprintf "%.4f"
                          (float_of_int s.Memsim.Cache.misses
                           /. float_of_int (max 1 s.Memsim.Cache.refs));
@@ -208,24 +210,29 @@ let table_two_level ppf =
             (Memsim.Cache.config ~size_bytes:(Memsim.Sweep.mb 1)
                ~block_bytes:block ())
         in
+        (* Two direct-mapped levels; an L1 fetch that hits L2 stalls
+           for the 60ns SRAM access, one that misses it also pays the
+           main-memory penalty of the L2 block. *)
         let hierarchy =
-          Memsim.Hierarchy.create
-            (Memsim.Hierarchy.config
-               ~l1:
-                 (Memsim.Cache.config ~size_bytes:(Memsim.Sweep.kb 32)
-                    ~block_bytes:block ())
-               ~l2:
-                 (Memsim.Cache.config ~size_bytes:(Memsim.Sweep.mb 1)
-                    ~block_bytes:block ())
+          Memsim.Hier.create
+            (Memsim.Hier.config ~hit_ns:[ 60.0 ]
+               ~levels:
+                 [ Memsim.Level.config ~size_bytes:(Memsim.Sweep.kb 32)
+                     ~block_bytes:block ~ways:1 ();
+                   Memsim.Level.config ~size_bytes:(Memsim.Sweep.mb 1)
+                     ~block_bytes:block ~ways:1 ()
+                 ]
                ())
         in
+        let hier_sink, flush = Memsim.Hier.chunked_sink hierarchy in
         let r =
           Runner.run
             ~sinks:
               [ Memsim.Cache.sink l1_only; Memsim.Cache.sink l2_only;
-                Memsim.Hierarchy.sink hierarchy ]
+                hier_sink ]
             w
         in
+        flush ();
         let insns = r.Runner.stats.Vscheme.Machine.mutator_insns in
         let flat (c : Memsim.Cache.t) =
           Memsim.Timing.cache_overhead Memsim.Timing.Fast ~block_bytes:block
@@ -235,7 +242,7 @@ let table_two_level ppf =
         [ w.Workloads.Workload.name;
           Report.pct (flat l1_only);
           Report.pct
-            (Memsim.Hierarchy.overhead hierarchy Memsim.Timing.Fast
+            (Memsim.Hier.overhead hierarchy Memsim.Timing.Fast
                ~instructions:insns);
           Report.pct (flat l2_only)
         ])

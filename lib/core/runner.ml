@@ -49,7 +49,7 @@ let layout machine ~dynamic_base =
   words * Memsim.Trace.word_bytes
 
 let run ?(gc = Vscheme.Machine.No_gc) ?heap_bytes ?(pathological_layout = false)
-    ?(sinks = []) ?events ?scale ?record ?(direct = true) ?attr w =
+    ?(sinks = []) ?events ?scale ?record ?attr w =
   let heap_bytes =
     match heap_bytes with
     | Some b -> b
@@ -63,8 +63,8 @@ let run ?(gc = Vscheme.Machine.No_gc) ?heap_bytes ?(pathological_layout = false)
   (* Fast path: no extra sinks means nothing needs a per-event closure
      — the memory appends straight into the recording and the
      mutator/collector split comes from its phase-flip counters.  Any
-     sink (or ~direct:false) falls back to the generic tee. *)
-  let use_direct = direct && sinks = [] && record <> None in
+     sink falls back to the generic tee. *)
+  let use_direct = sinks = [] && record <> None in
   let counter =
     if use_direct then None else Some (Memsim.Trace.counting_by_phase ())
   in
@@ -120,11 +120,11 @@ let run ?(gc = Vscheme.Machine.No_gc) ?heap_bytes ?(pathological_layout = false)
   }
 
 let record ?gc ?heap_bytes ?pathological_layout ?(sinks = []) ?events ?scale
-    ?(direct = true) ?attr w =
+    ?attr w =
   let recording = Memsim.Recording.create () in
   let r =
     run ?gc ?heap_bytes ?pathological_layout ~sinks ?events ?scale
-      ~record:recording ~direct ?attr w
+      ~record:recording ?attr w
   in
   (r, recording)
 

@@ -47,7 +47,6 @@ val run :
   ?events:Obs.Events.timeline ->
   ?scale:int ->
   ?record:Memsim.Recording.t ->
-  ?direct:bool ->
   ?attr:Memsim.Attr.table ->
   Workloads.Workload.t ->
   result
@@ -59,14 +58,16 @@ val run :
     markers around workload loading and execution.
 
     [record], when given, captures the full reference trace into the
-    recording.  With no [sinks] and [direct] true (the default) it
-    uses the fast path — the memory appends packed events straight
-    into recording slabs, no per-event closure, and the
-    mutator/collector reference split comes from phase-flip counters;
-    otherwise the recording is one more sink on the generic tee.
-    Both paths yield bit-identical recordings and counts.
+    recording.  With no [sinks] it uses the fast path — the memory
+    appends packed events straight into recording slabs, no per-event
+    closure, and the mutator/collector reference split comes from
+    phase-flip counters; otherwise the recording is one more sink on
+    the generic tee.  Both paths yield bit-identical recordings and
+    counts (the closure path, reached by passing
+    {!Memsim.Recording.sink} in [sinks] instead of [record], is the
+    fast path's differential oracle).
 
-    [attr], when given alongside a direct [record], is kept in step
+    [attr], when given with [record] and no [sinks], is kept in step
     with the run: the heap publishes region-map epochs and the VM
     stamps allocation sites into it, keyed by recording position
     (see {!Memsim.Attr}).  It is silently dropped on the closure-sink
@@ -79,7 +80,6 @@ val record :
   ?sinks:Memsim.Trace.sink list ->
   ?events:Obs.Events.timeline ->
   ?scale:int ->
-  ?direct:bool ->
   ?attr:Memsim.Attr.table ->
   Workloads.Workload.t ->
   result * Memsim.Recording.t
@@ -87,8 +87,7 @@ val record :
     capture its full reference trace, the trace-once-sweep-many
     workflow.  The recording costs 8 host bytes per reference in
     memory (much less on disk with {!Memsim.Recording.save}'s default
-    v2 format).  [direct] as in {!run}; [~direct:false] forces the
-    closure-sink path (the differential-test oracle). *)
+    v2 format). *)
 
 val sweep_recording :
   ?label:string -> Memsim.Sweep.t -> Memsim.Recording.t -> unit

@@ -150,12 +150,6 @@ val access_chunk_attr :
     negative, or the cache has hooks or per-block stats installed (the
     attributed loop supports neither). *)
 
-val write_block_back : t -> int -> Trace.phase -> unit
-(** Receive a whole dirty block written back from the level above:
-    installs the block's tag if needed (a write miss that fetches
-    nothing) and validates {e every} word, since the entire block
-    arrives on the bus.  Counts as one reference and one write. *)
-
 val sink : t -> Trace.sink
 (** The cache as a trace consumer. *)
 
@@ -186,16 +180,6 @@ val set_miss_hook : t -> (cache_block:int -> alloc:bool -> unit) -> unit
 (** Install a callback invoked on every miss (any phase), after the
     miss has been counted.  [alloc] is true for mutator allocation
     misses.  Used by the miss-plot analyzer. *)
-
-val set_fill_hook :
-  t ->
-  on_fetch:(int -> Trace.phase -> unit) ->
-  on_writeback:(int -> Trace.phase -> unit) ->
-  unit
-(** Callbacks for the next cache level: [on_fetch addr phase] fires
-    with the byte address of every block fetched from below, and
-    [on_writeback addr phase] with the byte address of every dirty
-    block evicted.  Used by {!Hierarchy}. *)
 
 val block_refs : t -> int array
 (** Per-cache-block mutator reference counts; requires

@@ -4,9 +4,8 @@
 
    - The *hooked* oracle chains levels with per-event fill hooks — L1
      fetches become L2 reads, dirty L1 evictions become L2 block
-     write-backs, and so on down — exactly like the two-level
-     {!Hierarchy}.  Hooks force every level onto the per-event path,
-     so the whole stack runs at hook-dispatch speed.
+     write-backs, and so on down.  Hooks force every level onto the
+     per-event path, so the whole stack runs at hook-dispatch speed.
 
    - The *fused* engine simulates L1 over a packed chunk with the
      hoisted fast loop while appending L1's misses and write-backs
@@ -120,29 +119,32 @@ let level_stats t i = Level.stats t.levels.(i)
 
 let reset_stats t = Array.iter Level.reset_stats t.levels
 
-(* Stall time as a fraction of idealized run time, mutator traffic
-   only.  Each level's fetches are charged disjointly: a fetch that
-   hits level i+1 costs that level's hit latency, and only the
-   fetches that miss every level pay the Przybylski main-memory
-   penalty of the last level's block. *)
-let overhead t cpu ~instructions =
-  if instructions <= 0 then invalid_arg "Hier.overhead";
+(* Service time of one phase's fetches, in cycles, charged disjointly:
+   a fetch that hits level i+1 costs that level's hit latency, and
+   only the fetches that miss every level pay the Przybylski
+   main-memory penalty of the last level's block. *)
+let service_cycles t cpu phase =
+  let fetches i =
+    let s = Level.stats t.levels.(i) in
+    match (phase : Trace.phase) with
+    | Trace.Mutator -> s.Cache.fetches
+    | Trace.Collector -> s.Cache.collector_fetches
+  in
   let n = Array.length t.levels in
   let cyc = Timing.cycle_ns cpu in
   let total = ref 0.0 in
   for i = 0 to n - 2 do
-    let si = Level.stats t.levels.(i) in
-    let sn = Level.stats t.levels.(i + 1) in
-    let hits = si.Cache.fetches - sn.Cache.fetches in
+    let hits = fetches i - fetches (i + 1) in
     total := !total +. (float_of_int hits *. t.cfg.hit_ns.(i) /. cyc)
   done;
-  let last = Level.stats t.levels.(n - 1) in
   let block = (Level.geometry t.levels.(n - 1)).Level.block_bytes in
-  total :=
-    !total
-    +. (float_of_int last.Cache.fetches
-        *. Timing.miss_penalty cpu ~block_bytes:block);
-  !total /. float_of_int instructions
+  !total
+  +. (float_of_int (fetches (n - 1))
+      *. Timing.miss_penalty cpu ~block_bytes:block)
+
+let overhead t cpu ~instructions =
+  if instructions <= 0 then invalid_arg "Hier.overhead";
+  service_cycles t cpu Trace.Mutator /. float_of_int instructions
 
 (* --- Per-CPU presets ----------------------------------------------------- *)
 

@@ -10,8 +10,9 @@
     L2's stream through L3 — lower levels do O(misses) work instead
     of O(events) hook dispatch, with per-level statistics
     bit-identical to the *hooked* per-event oracle ([create
-    ~fused:false]), which chains levels with fill hooks exactly like
-    the two-level {!Hierarchy}. *)
+    ~fused:false]), which chains levels with per-event fill hooks.
+    A two-level hierarchy of 1-way levels is the classic small L1
+    backed by a large L2 (experiment E-A4). *)
 
 type config = {
   levels : Level.config array;  (** L1 first; blocks must not shrink
@@ -61,12 +62,16 @@ val stats : t -> Cache.stats array
 val level_stats : t -> int -> Cache.stats
 val reset_stats : t -> unit
 
+val service_cycles : t -> Timing.processor -> Trace.phase -> float
+(** Stall cycles of one phase's block fetches, charged disjointly: a
+    fetch that hits level i+1 costs [hit_ns.(i)], and only fetches
+    that miss every level pay the main-memory penalty of the last
+    level's block. *)
+
 val overhead : t -> Timing.processor -> instructions:int -> float
 (** Total stall time as a fraction of the idealized running time,
-    mutator traffic only, charging each fetch disjointly: a fetch
-    that hits level i+1 costs [hit_ns.(i)], and only fetches that
-    miss every level pay the main-memory penalty of the last level's
-    block. *)
+    mutator traffic only: [service_cycles t cpu Mutator /.
+    instructions]. *)
 
 (** {1 Per-CPU presets}
 

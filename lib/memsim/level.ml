@@ -476,8 +476,7 @@ let[@hot] access t addr kind phase =
 
 (* Install a whole block written back from the level above: counts a
    reference and a write, never fetches, leaves the block valid and
-   dirty.  The set-associative analog of [Cache.write_block_back],
-   plus the policy update a real level would make. *)
+   dirty, and makes the policy update a real level would make. *)
 let[@hot] write_back t addr phase =
   let mem_block = addr lsr t.block_shift in
   let set = mem_block land t.set_mask in

@@ -46,7 +46,7 @@ val create :
     [on_seal], when given, is called with each slab the moment it
     fills — the hook behind record-while-sweep pipelining: a sealed
     slab is immutable, so it can be handed to concurrent consumers
-    (e.g. {!Chunk.Fanout.push_shared}) while the recording keeps it
+    (e.g. {!Chunk.Fanout.push}) while the recording keeps it
     for later replay.  The final partial slab never seals; fetch it
     with {!tail} after production ends. *)
 

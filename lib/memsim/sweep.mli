@@ -2,13 +2,15 @@
 
     Trace-driven simulation is dominated by producing the trace, so a
     single program run is shared by every cache configuration under
-    study.  Three delivery mechanisms, fastest last:
+    study.  Delivery mechanisms, fastest last:
 
     - {!sink}: per-event fan-out (one closure call per cache per
       event).  The oracle the others are tested against.
     - {!chunked_sink}: events are batched into {!Chunk} buffers and
       each full chunk is delivered column by column through
       {!Cache.column_access_chunk}'s tight decode loop.
+    - {!pipelined}: sealed recording slabs are broadcast by reference
+      to worker domains while the trace is still being produced.
     - {!run_parallel}: replay a completed {!Recording} with the
       columns partitioned across [jobs] domains.  Columns are
       independent and the recording is read-only, so the per-cache
@@ -19,7 +21,13 @@
     [collector_fetch_on_write] are swept together in one pass over the
     trace, so a grid costs one pass per column, not one per cache
     (DESIGN §4d).  Results are per cache and identical to sweeping
-    each cache on its own. *)
+    each cache on its own.
+
+    Replays of a recording — grid columns, fused hierarchies
+    ({!hier_run_parallel}) and attributed caches ({!run_attributed}),
+    whole or resumable from a checkpoint — all run through one
+    engine: one work-claim loop over independent simulators, one
+    checkpoint framing, one epoch loop. *)
 
 val paper_cache_sizes : int list
 (** The §4 cache sizes: 32 KB to 4 MB in powers of two. *)
@@ -132,7 +140,10 @@ val run_attributed :
     checkpoint {e bit-identically} to a run that was never
     interrupted.  Checkpoints are written atomically (temp file +
     rename): a crash mid-write leaves the previous checkpoint, never a
-    torn one. *)
+    torn one.  Grid and hierarchy checkpoints share one framing — an
+    8-byte magic ([SWPCKPT1] for grids, [SWHCKPT1] for hierarchies),
+    then cursor, event count and simulator count as little-endian
+    int64s, then one snapshot per simulator. *)
 
 val save_checkpoint : t -> events:int -> cursor:int -> string -> unit
 (** [save_checkpoint t ~events ~cursor path] writes the state of every
@@ -174,7 +185,7 @@ val run_resumable :
 
 (** {1 Hierarchy sweeps}
 
-    The replay machinery above, over fused multi-level hierarchies
+    The same replay engine over fused multi-level hierarchies
     ({!Hier}).  Hierarchies are independent simulators and a sealed
     recording is read-only, so parallel and resumable runs are
     bit-identical to serial ones, per level.  The hierarchies must be
@@ -214,29 +225,15 @@ val hier_run_resumable :
     bit-identical to an uninterrupted serial run no matter how many
     times the process died, and regardless of [jobs]. *)
 
-val live_parallel :
-  jobs:int ->
-  ?chunk_events:int ->
-  ?capacity:int ->
-  t ->
-  Trace.sink * (unit -> unit)
-(** Consume a {e live} trace on [jobs] worker domains: the returned
-    sink chunks events and broadcasts each chunk through a bounded
-    queue ({!Chunk.Fanout}, [capacity] chunks per worker) to workers
-    that own a static partition of the columns.  Call the returned
-    [finish] after the last event: it flushes the partial chunk, closes
-    the queue and joins the workers.  Statistics are bit-identical to
-    serial delivery.  With [jobs = 1] this is {!chunked_sink}. *)
-
 val pipelined :
   jobs:int -> ?capacity:int -> t -> (Chunk.buf -> int -> unit) * (unit -> unit)
-(** [pipelined ~jobs t] is [(deliver, finish)]: the chunk-level
-    counterpart of {!live_parallel} for producers that already hold
-    immutable chunks — {!Recording} slabs sealing while the mutator
-    still runs (record-while-sweep).  [deliver buf len] broadcasts the
-    chunk {e by reference} (no copy; the buffer must never be written
-    again) to [jobs] worker domains owning a static partition of the
-    columns, blocking when [capacity] chunks are queued per worker; with
+(** [pipelined ~jobs t] is [(deliver, finish)]: live consumption for
+    producers that hold immutable chunks — {!Recording} slabs sealing
+    while the mutator still runs (record-while-sweep).  [deliver buf
+    len] broadcasts the chunk {e by reference} (no copy; the buffer
+    must never be written again) to [jobs] worker domains owning a
+    static partition of the columns, blocking when [capacity] chunks
+    are queued per worker; with
     [jobs = 1] it is a plain {!access_chunk} on the calling domain.
     Call [finish] after the last chunk to close the queue and join the
     workers.  Statistics are bit-identical to a trace-then-sweep

@@ -2,11 +2,13 @@ exception Syntax_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Syntax_error s)) fmt
 
-let gensym_counter = ref 0
+(* Shared by every machine in the process, including machines expanding
+   on different domains at once (Runner.record_grid): an atomic counter
+   keeps the generated names distinct. *)
+let gensym_counter = Atomic.make 0
 
 let gensym prefix =
-  incr gensym_counter;
-  Format.sprintf "%%%s%d" prefix !gensym_counter
+  Format.sprintf "%%%s%d" prefix (Atomic.fetch_and_add gensym_counter 1 + 1)
 
 let datum_list who d =
   match Sexp.Datum.list_opt d with

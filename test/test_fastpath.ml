@@ -22,8 +22,17 @@ let check_identical name reference candidate =
     (Memsim.Sweep.results reference)
     (Memsim.Sweep.results candidate)
 
+(* The closure-sink path: the recording is one more sink on the
+   generic tee instead of the memory's direct writer. *)
+let record_via_sink w =
+  let recording = Memsim.Recording.create () in
+  let r =
+    Core.Runner.run ~sinks:[ Memsim.Recording.sink recording ] ~scale:1 w
+  in
+  (r, recording)
+
 let test_fast_path w () =
-  let oracle_r, oracle_rec = Core.Runner.record ~direct:false ~scale:1 w in
+  let oracle_r, oracle_rec = record_via_sink w in
   let fast_r, fast_rec = Core.Runner.record ~scale:1 w in
   Alcotest.(check bool)
     "recordings bit-identical" true
@@ -39,7 +48,7 @@ let test_fast_path w () =
     (oracle_r.Core.Runner.refs + oracle_r.Core.Runner.collector_refs)
 
 let test_record_sweep w () =
-  let _, recording = Core.Runner.record ~direct:false ~scale:1 w in
+  let _, recording = record_via_sink w in
   let oracle = grid () in
   Memsim.Recording.replay recording (Memsim.Sweep.sink oracle);
   let saved = Core.Runner.jobs () in

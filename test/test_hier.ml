@@ -205,37 +205,47 @@ let test_snapshot_roundtrip () =
   drive_chunks b recording;
   check_levels_identical "restored hierarchy continues identically" a b
 
-(* --- the Hierarchy.overhead disjoint-charging fix -------------------- *)
+(* --- disjoint charging of the hierarchy service time ----------------- *)
 
-let test_hierarchy_overhead_disjoint () =
-  let mk bytes =
-    Memsim.Cache.config ~size_bytes:bytes ~block_bytes:64 ()
+let test_overhead_disjoint () =
+  let mk bytes = Level.config ~size_bytes:bytes ~block_bytes:64 ~ways:1 () in
+  let h =
+    Hier.create ~fused:false
+      (Hier.config ~hit_ns:[ 60.0 ] ~levels:[ mk 1024; mk 8192 ] ())
   in
-  let cfg =
-    Memsim.Hierarchy.config ~l2_hit_ns:60.0 ~l1:(mk 1024) ~l2:(mk 8192) ()
-  in
-  let h = Memsim.Hierarchy.create cfg in
   (* A then B (same L1 set, different L2 sets) then A again: three L1
      fetches, two of which miss L2; the re-fetch of A hits L2. *)
-  Memsim.Hierarchy.access h 0 Memsim.Trace.Read Memsim.Trace.Mutator;
-  Memsim.Hierarchy.access h 1024 Memsim.Trace.Read Memsim.Trace.Mutator;
-  Memsim.Hierarchy.access h 0 Memsim.Trace.Read Memsim.Trace.Mutator;
-  let s1 = Memsim.Hierarchy.l1_stats h in
-  let s2 = Memsim.Hierarchy.l2_stats h in
+  Hier.access h 0 Memsim.Trace.Read Memsim.Trace.Mutator;
+  Hier.access h 1024 Memsim.Trace.Read Memsim.Trace.Mutator;
+  Hier.access h 0 Memsim.Trace.Read Memsim.Trace.Mutator;
+  let s1 = Hier.level_stats h 0 in
+  let s2 = Hier.level_stats h 1 in
   Alcotest.(check int) "three L1 fetches" 3 s1.Memsim.Cache.fetches;
   Alcotest.(check int) "two L2 fetches" 2 s2.Memsim.Cache.fetches;
   let cpu = Memsim.Timing.Fast in
   let instructions = 1000 in
   (* One L2 hit pays the L2 latency; the two memory fetches pay the
-     miss penalty.  The pre-fix formula charged all three L1 fetches
-     the L2 latency on top. *)
-  let expected =
-    (1.0 *. 60.0 /. Memsim.Timing.cycle_ns cpu
-    +. 2.0 *. Memsim.Timing.miss_penalty cpu ~block_bytes:64)
-    /. float_of_int instructions
+     miss penalty.  Charging all three L1 fetches the L2 latency on
+     top would double-count. *)
+  let cycles =
+    1.0 *. 60.0 /. Memsim.Timing.cycle_ns cpu
+    +. 2.0 *. Memsim.Timing.miss_penalty cpu ~block_bytes:64
   in
-  Alcotest.(check (float 1e-12)) "disjoint charging" expected
-    (Memsim.Hierarchy.overhead h cpu ~instructions)
+  Alcotest.(check (float 1e-12)) "mutator service cycles" cycles
+    (Hier.service_cycles h cpu Memsim.Trace.Mutator);
+  Alcotest.(check (float 1e-12)) "no collector fetches, no collector cycles"
+    0.0
+    (Hier.service_cycles h cpu Memsim.Trace.Collector);
+  Alcotest.(check (float 1e-12)) "disjoint charging"
+    (cycles /. float_of_int instructions)
+    (Hier.overhead h cpu ~instructions);
+  (* Collector fetches are charged by the same rule, apart. *)
+  Hier.access h 2048 Memsim.Trace.Read Memsim.Trace.Collector;
+  Alcotest.(check (float 1e-12)) "collector fetch that misses both levels"
+    (Memsim.Timing.miss_penalty cpu ~block_bytes:64)
+    (Hier.service_cycles h cpu Memsim.Trace.Collector);
+  Alcotest.(check (float 1e-12)) "mutator cycles unchanged" cycles
+    (Hier.service_cycles h cpu Memsim.Trace.Mutator)
 
 (* --- victim selection property --------------------------------------- *)
 
@@ -307,8 +317,8 @@ let () =
            test_snapshot_roundtrip
        ]);
       ("overhead",
-       [ Alcotest.test_case "Hierarchy.overhead charges disjointly" `Quick
-           test_hierarchy_overhead_disjoint
+       [ Alcotest.test_case "Hier.overhead charges disjointly" `Quick
+           test_overhead_disjoint
        ]);
       ("properties", [ QCheck_alcotest.to_alcotest prop_victim_valid ])
     ]

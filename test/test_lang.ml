@@ -393,6 +393,36 @@ let reverse_prop =
       eval m (Printf.sprintf "(reverse (reverse '%s))" lit) = lit
       || (xs = [] && eval m "(reverse (reverse '()))" = "()"))
 
+(* Derived forms that need a fresh binder ([do], [case], [or], [cond]
+   with [=>]) draw its name from one process-wide counter, and machines
+   expand on several domains at once (Runner.record_grid): two domains
+   expanding side by side must never be handed the same name. *)
+let test_gensym_across_domains () =
+  let forms =
+    Array.map Sexp.Parser.parse_one
+      [| "(case x ((1) 'a) (else 'b))"; "(do ((i 0 (+ i 1))) ((= i 3) i))" |]
+  in
+  let binder d =
+    match Vscheme.Expander.expand_expr d with
+    | Vscheme.Ast.Let ([ (name, _) ], _) -> name
+    | _ -> failwith "expected a let-bound generated name"
+  in
+  let per_domain = 20_000 in
+  let expand_many () =
+    List.init per_domain (fun i -> binder forms.(i land 1))
+  in
+  let other = Domain.spawn expand_many in
+  let mine = expand_many () in
+  let names = mine @ Domain.join other in
+  let seen = Hashtbl.create (2 * per_domain) in
+  List.iter
+    (fun n ->
+      if Hashtbl.mem seen n then Alcotest.failf "generated name %s twice" n;
+      Hashtbl.replace seen n ())
+    names;
+  Alcotest.(check int) "every generated name distinct" (2 * per_domain)
+    (Hashtbl.length seen)
+
 let () =
   Alcotest.run "lang"
     [ ("eval", List.map test_eval ev_cases);
@@ -408,7 +438,9 @@ let () =
       ( "machine",
         [ Alcotest.test_case "output buffer" `Quick test_output;
           Alcotest.test_case "disassembler" `Quick test_disassemble;
-          Alcotest.test_case "determinism" `Quick test_determinism
+          Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "gensym names distinct across domains" `Quick
+            test_gensym_across_domains
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest arith_prop;

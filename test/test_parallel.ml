@@ -47,20 +47,16 @@ let test_workload w () =
       check_identical (Printf.sprintf "run_parallel jobs=%d" jobs) oracle
         parallel)
     jobs_list;
-  (* live consumption on worker domains while the trace streams *)
-  let live = grid () in
-  let sink, finish =
-    Memsim.Sweep.live_parallel ~jobs:3 ~chunk_events:4096 live
-  in
-  Memsim.Recording.replay recording sink;
-  finish ();
-  check_identical "live_parallel jobs=3" oracle live;
-  (* sealed slabs broadcast by reference, as record-while-sweep does *)
-  let piped = grid () in
-  let deliver, finish = Memsim.Sweep.pipelined ~jobs:2 piped in
-  Memsim.Recording.iter_chunks recording deliver;
-  finish ();
-  check_identical "pipelined jobs=2" oracle piped
+  (* sealed slabs broadcast by reference to worker domains, as
+     record-while-sweep does *)
+  List.iter
+    (fun jobs ->
+      let piped = grid () in
+      let deliver, finish = Memsim.Sweep.pipelined ~jobs piped in
+      Memsim.Recording.iter_chunks recording deliver;
+      finish ();
+      check_identical (Printf.sprintf "pipelined jobs=%d" jobs) oracle piped)
+    [ 2; 3 ]
 
 let test_runner_path () =
   (* Runner.sweep_recording must route through the same engines and
